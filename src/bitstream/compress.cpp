@@ -1,6 +1,7 @@
 #include "bitstream/compress.hpp"
 
-#include <map>
+#include <string_view>
+#include <unordered_set>
 
 #include "bitstream/parser.hpp"
 #include "util/error.hpp"
@@ -123,13 +124,13 @@ MfwPlan planMfw(const Bitstream& stream, const fabric::Device& device) {
   plan.totalFrames = static_cast<std::uint32_t>(parsed.writes.size());
   plan.rawBytes = stream.size();
 
-  // Group frames by payload content.
-  std::map<std::vector<std::uint8_t>, std::uint32_t> groups;
+  // Distinct payload contents, viewed in place in the stream's bytes.
+  std::unordered_set<std::string_view> payloads;
   for (const FrameWrite& write : parsed.writes) {
-    ++groups[std::vector<std::uint8_t>(write.payload.begin(),
-                                       write.payload.end())];
+    payloads.emplace(reinterpret_cast<const char*>(write.payload.data()),
+                     write.payload.size());
   }
-  plan.uniqueFrames = static_cast<std::uint32_t>(groups.size());
+  plan.uniqueFrames = static_cast<std::uint32_t>(payloads.size());
   plan.wireBytes = util::Bytes{
       enc.partialOverheadBytes +
       static_cast<std::uint64_t>(plan.uniqueFrames) * enc.frameBytes +

@@ -4,11 +4,11 @@
 #include <cmath>
 #include <deque>
 #include <memory>
-#include <queue>
 #include <sstream>
 
 #include "exec/pool.hpp"
 #include "prof/profiler.hpp"
+#include "sim/event_heap.hpp"
 #include "trace/recorder.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -92,19 +92,11 @@ Ids internIds() {
 
 enum class EventKind : std::uint8_t { kArrival, kCompletion, kRetry, kHedge };
 
-struct Event {
-  std::int64_t timePs = 0;
-  std::uint64_t seq = 0;  ///< tie-break: events at equal times fire in
-                          ///< schedule order, making the heap a total order
+/// Payload of one cell event; sim::EventHeap orders events by (time, push
+/// sequence), so equal-time events fire in schedule order.
+struct CellEvent {
   EventKind kind = EventKind::kArrival;
   std::uint32_t arg = 0;  ///< blade index (completion) or request index
-};
-
-struct EventAfter {
-  bool operator()(const Event& a, const Event& b) const noexcept {
-    if (a.timePs != b.timePs) return a.timePs > b.timePs;
-    return a.seq > b.seq;
-  }
 };
 
 struct Request {
@@ -165,21 +157,6 @@ struct CellResult {
   obs::TimeSeries series{};   ///< windowed series (tracing or SLO enabled)
 };
 
-/// Registry::observe's bucket logic for a cell-local summary (the hedge
-/// delay reads its own cell's latency quantile without a snapshot).
-void observeLocal(obs::HistogramSummary& h, std::int64_t value) {
-  if (h.count == 0) {
-    h.min = value;
-    h.max = value;
-  } else {
-    h.min = std::min(h.min, value);
-    h.max = std::max(h.max, value);
-  }
-  ++h.count;
-  h.sum += value;
-  ++h.buckets[obs::HistogramSummary::bucketIndex(value)];
-}
-
 /// One fault draw: Poisson plans draw a Bernoulli from the blade's RNG;
 /// kFixedPeriod plans fire deterministically every fixedPeriod-th
 /// eligible event, with `rate` only gating eligibility.
@@ -199,9 +176,8 @@ struct Cell {
   obs::Registry reg;
   std::vector<Blade> blades;
   std::vector<Request> requests;
-  std::priority_queue<Event, std::vector<Event>, EventAfter> heap;
+  sim::EventHeap<CellEvent> heap;
   util::Rng rng;
-  std::uint64_t seq = 0;
   std::uint64_t quota = 0;      ///< fresh requests this cell generates
   std::uint64_t generated = 0;
   std::uint64_t traceIdx = 0;
@@ -236,7 +212,7 @@ struct Cell {
         rng(opt.seed ^ (0x9e3779b97f4a7c15ULL * (cellIdx + 1))) {}
 
   void schedule(std::int64_t atPs, EventKind kind, std::uint32_t arg) {
-    heap.push(Event{atPs, seq++, kind, arg});
+    heap.push(atPs, CellEvent{kind, arg});
   }
 
   std::size_t taskCount() const { return profile.tasks.size(); }
@@ -621,13 +597,13 @@ struct Cell {
           slowThresholdPs = static_cast<std::int64_t>(
               localLatency.quantile(options.tracing.slowQuantile));
         }
-        observeLocal(localLatency, latencyPs);
+        localLatency.observe(latencyPs);
         reg.observe(ids.attempts, r.attempts);
         if (job.hedge) reg.add(ids.hedgeWins);
         if (recordSeries) {
           obs::TimeSeries::Window& w = series.at(nowPs);
           ++w.completed;
-          observeLocal(w.latency, latencyPs);
+          w.latency.observe(latencyPs);
           if (latencyPs <= sloTargetPs) {
             ++w.good;
           } else {
@@ -776,9 +752,9 @@ struct Cell {
     requests.reserve(quota);
     if (quota > 0) scheduleNextArrival();
     while (!heap.empty()) {
-      const Event e = heap.top();
-      heap.pop();
-      nowPs = e.timePs;
+      const auto event = heap.pop();
+      const CellEvent& e = event.payload;
+      nowPs = event.timePs;
       endPs = std::max(endPs, nowPs);
       switch (e.kind) {
         case EventKind::kArrival: generateArrival(); break;

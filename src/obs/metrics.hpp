@@ -62,6 +62,20 @@ struct HistogramSummary {
   /// Bucket index of one observation (see kBucketCount).
   [[nodiscard]] static std::size_t bucketIndex(std::int64_t value) noexcept;
 
+  /// Records one observation: count/sum/bucket add, bounds widen.
+  void observe(std::int64_t value) noexcept {
+    if (count == 0) {
+      min = value;
+      max = value;
+    } else {
+      min = std::min(min, value);
+      max = std::max(max, value);
+    }
+    ++count;
+    sum += value;
+    ++buckets[bucketIndex(value)];
+  }
+
   /// Deterministic quantile estimate for q in [0, 1]: linear interpolation
   /// inside the log2 bucket holding the q-th observation, clamped to the
   /// exact [min, max] bounds. Returns 0 when the histogram is empty.
@@ -256,17 +270,7 @@ class Registry {
     HistogramSlot& slot = histograms_[id.index()];
     touchedHistograms_ += !slot.touched;
     slot.touched = true;
-    HistogramSummary& h = slot.summary;
-    if (h.count == 0) {
-      h.min = value;
-      h.max = value;
-    } else {
-      h.min = std::min(h.min, value);
-      h.max = std::max(h.max, value);
-    }
-    ++h.count;
-    h.sum += value;
-    ++h.buckets[HistogramSummary::bucketIndex(value)];
+    slot.summary.observe(value);
   }
 
   // The PR 4/7 string shims (add/set/observe by name) are gone: intern

@@ -1,24 +1,10 @@
 #include "prof/profiler.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <sstream>
 
 namespace prtr::prof {
 namespace {
-
-void observeInto(obs::HistogramSummary& h, std::int64_t value) {
-  if (h.count == 0) {
-    h.min = value;
-    h.max = value;
-  } else {
-    h.min = std::min(h.min, value);
-    h.max = std::max(h.max, value);
-  }
-  ++h.count;
-  h.sum += value;
-  ++h.buckets[obs::HistogramSummary::bucketIndex(value)];
-}
 
 void writeSummaryJson(util::json::Writer& w, const obs::HistogramSummary& h) {
   w.beginObject();
@@ -87,7 +73,7 @@ std::int64_t Profiler::nowNanoseconds() noexcept {
 
 void Profiler::record(std::string_view label, std::int64_t elapsed_ns) {
   const std::scoped_lock lock{mutex_};
-  observeInto(state_.phases[std::string{label}], elapsed_ns);
+  state_.phases[std::string{label}].observe(elapsed_ns);
 }
 
 void Profiler::count(std::string_view label, std::uint64_t delta) {
@@ -97,7 +83,7 @@ void Profiler::count(std::string_view label, std::uint64_t delta) {
 
 void Profiler::sample(std::string_view label, std::int64_t value) {
   const std::scoped_lock lock{mutex_};
-  observeInto(state_.samples[std::string{label}], value);
+  state_.samples[std::string{label}].observe(value);
 }
 
 ProfileSnapshot Profiler::snapshot() const {

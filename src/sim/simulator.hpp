@@ -3,22 +3,17 @@
 /// Discrete-event simulation kernel.
 ///
 /// The kernel keeps a pending-event set of (time, sequence) ordered events
-/// whose payloads are coroutine handles. Model code is written as C++20
-/// coroutines (see process.hpp) that `co_await` delays, synchronization
-/// primitives, and child processes. Time is integer picoseconds
-/// (util::Time), so event order is exact and runs are bit-reproducible.
-///
-/// The pending set sits behind an EventQueue seam (see event_queue.hpp):
-/// the default CalendarQueue is the throughput rewrite, and the original
-/// BinaryHeapQueue remains constructible so the schedule explorer can A/B
-/// both implementations and prove their pop sequences identical.
+/// whose payloads are coroutine handles (sim::EventHeap, the same heap the
+/// fleet runs on). Model code is written as C++20 coroutines (see
+/// process.hpp) that `co_await` delays, synchronization primitives, and
+/// child processes. Time is integer picoseconds (util::Time), so event
+/// order is exact and runs are bit-reproducible.
 
 #include <coroutine>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
-#include "sim/event_queue.hpp"
+#include "sim/event_heap.hpp"
 #include "sim/process.hpp"
 #include "util/error.hpp"
 #include "util/units.hpp"
@@ -29,27 +24,9 @@ namespace prtr::sim {
 /// parameter sweeps parallelize by running independent simulators.
 class Simulator {
  public:
-  /// Builds with the process-wide default queue kind (calendar unless
-  /// overridden via setDefaultQueueKind, e.g. for A/B experiments).
-  Simulator() : Simulator(defaultQueueKind()) {}
-  explicit Simulator(QueueKind kind) : queue_(makeEventQueue(kind)) {}
-  /// Takes a caller-built queue (custom implementations, instrumentation).
-  explicit Simulator(std::unique_ptr<EventQueue> queue)
-      : queue_(std::move(queue)) {
-    util::require(queue_ != nullptr, "Simulator: null event queue");
-  }
+  Simulator() = default;
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
-
-  /// Queue kind newly-default-constructed simulators use. Not thread-safe;
-  /// flip it only from a quiescent process (the schedule explorer does).
-  static QueueKind defaultQueueKind() noexcept;
-  static void setDefaultQueueKind(QueueKind kind) noexcept;
-
-  /// Implementation tag of this simulator's queue ("calendar", ...).
-  [[nodiscard]] const char* queueName() const noexcept {
-    return queue_->name();
-  }
 
   /// Current simulated time.
   [[nodiscard]] util::Time now() const noexcept { return now_; }
@@ -59,7 +36,7 @@ class Simulator {
     if (t < now_) {
       throw util::SimulationError{"Simulator: event scheduled in the past"};
     }
-    queue_->push(Event{t.ps(), seq_++, handle});
+    queue_.push(t.ps(), handle);
   }
 
   /// Schedules `handle` to resume after `delay`.
@@ -97,13 +74,14 @@ class Simulator {
   [[nodiscard]] std::size_t rootCount() const noexcept { return roots_.size(); }
 
  private:
-  void step(const Event& event);
+  using Queue = EventHeap<std::coroutine_handle<>>;
+
+  void step(const Queue::Entry& event);
   void rethrowRootFailures();
 
-  std::unique_ptr<EventQueue> queue_;
+  Queue queue_;
   std::vector<Process> roots_;
   util::Time now_;
-  std::uint64_t seq_ = 0;
   std::uint64_t events_ = 0;
 };
 

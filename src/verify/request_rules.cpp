@@ -23,7 +23,12 @@ std::string where(const std::string& process, const std::string& lane) {
 }
 
 std::string timesOf(const sim::NamedSpan& span) {
-  return "[" + span.start.toString() + ", " + span.end.toString() + ")";
+  std::string times = "[";
+  times += span.start.toString();
+  times += ", ";
+  times += span.end.toString();
+  times += ')';
+  return times;
 }
 
 }  // namespace

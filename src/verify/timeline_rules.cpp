@@ -24,7 +24,12 @@ std::string where(const std::string& process, const std::string& lane) {
 }
 
 std::string timesOf(const sim::NamedSpan& span) {
-  return "[" + span.start.toString() + ", " + span.end.toString() + ")";
+  std::string times = "[";
+  times += span.start.toString();
+  times += ", ";
+  times += span.end.toString();
+  times += ')';
+  return times;
 }
 
 bool overlaps(const sim::NamedSpan& a, const sim::NamedSpan& b) noexcept {

@@ -1,15 +1,17 @@
-// Kernel-rewrite regression tests: runUntil edge cases, the calendar
-// queue's bucket rollover against the binary heap's golden pop order, the
-// interned symbol table, the O(1) timeline accumulators, and the coroutine
-// frame arena's free-list recycling.
+// Kernel regression tests: runUntil edge cases, the event heap's pop order
+// against a sorted reference, the interned symbol table, the O(1) timeline
+// accumulators, and the coroutine frame arena's free-list recycling.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <coroutine>
+#include <cstdint>
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include "sim/arena.hpp"
-#include "sim/event_queue.hpp"
+#include "sim/event_heap.hpp"
 #include "sim/simulator.hpp"
 #include "sim/symbols.hpp"
 #include "sim/trace.hpp"
@@ -79,82 +81,128 @@ TEST(RunUntil, SpawningBetweenCallsKeepsTheScheduleOrder) {
                        Time::microseconds(8).ps()}));
 }
 
-/// Pops every event from `queue` and returns the (time, seq) sequence.
-std::vector<std::pair<std::int64_t, std::uint64_t>> drain(EventQueue& queue) {
-  std::vector<std::pair<std::int64_t, std::uint64_t>> order;
-  while (!queue.empty()) {
-    EXPECT_EQ(queue.peekTimePs(), queue.peekTimePs());
-    const Event event = queue.pop();
-    order.emplace_back(event.timePs, event.seq);
-  }
-  return order;
+// The heap is instantiated with both payloads it carries in the program:
+// the simulator's coroutine handles and the fleet's {kind, arg} events.
+// Every payload encodes the push index of its event, so the tests check
+// that payloads travel with their (time, seq) keys.
+using Handle = std::coroutine_handle<>;
+
+struct KindArg {
+  std::uint8_t kind;
+  std::uint32_t arg;
+};
+
+template <typename Payload>
+Payload payloadFor(std::uint64_t id);
+
+template <>
+Handle payloadFor<Handle>(std::uint64_t id) {
+  // Never resumed: only the address round-trips.
+  return Handle::from_address(
+      reinterpret_cast<void*>(static_cast<std::uintptr_t>(id + 1) << 4));
 }
 
-TEST(CalendarQueue, MatchesTheHeapGoldenOrderAcrossBucketRollover) {
-  // Random schedule spanning many calendar windows (the near window is
-  // ~2.1 ms; times go to 100 ms) with bursts of same-time ties. Both
-  // queues implement one total order, so the pop sequences must be equal
-  // element for element.
+template <>
+KindArg payloadFor<KindArg>(std::uint64_t id) {
+  return KindArg{static_cast<std::uint8_t>(id % 4),
+                 static_cast<std::uint32_t>(id)};
+}
+
+std::uint64_t idOf(Handle handle) {
+  return (reinterpret_cast<std::uintptr_t>(handle.address()) >> 4) - 1;
+}
+
+std::uint64_t idOf(const KindArg& event) {
+  EXPECT_EQ(event.kind, event.arg % 4);
+  return event.arg;
+}
+
+using Key = std::pair<std::int64_t, std::uint64_t>;  // (timePs, seq)
+
+/// Pushes into the heap and records the event for the reference. The heap
+/// stamps seq itself, starting at 0, so the push index is the expected seq.
+template <typename Payload>
+struct Recorder {
+  EventHeap<Payload> heap;
+  std::vector<Key> pushed;
+
+  void push(std::int64_t timePs) {
+    heap.push(timePs, payloadFor<Payload>(pushed.size()));
+    pushed.emplace_back(timePs, pushed.size());
+  }
+
+  /// Pops one event, checking that peek agrees with it and that its
+  /// payload is the one pushed with that seq.
+  Key pop() {
+    const std::int64_t peeked = heap.peekTimePs();
+    const auto event = heap.pop();
+    EXPECT_EQ(event.timePs, peeked);
+    EXPECT_EQ(idOf(event.payload), event.seq);
+    return {event.timePs, event.seq};
+  }
+
+  /// The reference order: every pushed event sorted on (timePs, seq).
+  [[nodiscard]] std::vector<Key> sortedReference() const {
+    std::vector<Key> reference = pushed;
+    std::sort(reference.begin(), reference.end());
+    return reference;
+  }
+};
+
+template <typename Payload>
+void checkTieBurstSchedule() {
+  // Random schedule over 100 ms with bursts of same-time ties: equal
+  // times must pop in push order.
   util::Rng rng{20260807};
-  CalendarQueue calendar;
-  BinaryHeapQueue heap;
-  std::uint64_t seq = 0;
+  Recorder<Payload> r;
   for (int i = 0; i < 5000; ++i) {
     const std::int64_t timePs =
         static_cast<std::int64_t>(rng() % 100'000'000'000ull);
-    const Event event{timePs, seq++, {}};
-    calendar.push(event);
-    heap.push(event);
-    if (i % 7 == 0) {  // a burst of ties at the same instant
-      const Event tie{timePs, seq++, {}};
-      calendar.push(tie);
-      heap.push(tie);
-    }
+    r.push(timePs);
+    if (i % 7 == 0) r.push(timePs);  // a burst of ties at the same instant
   }
-  ASSERT_EQ(calendar.size(), heap.size());
-  EXPECT_EQ(drain(calendar), drain(heap));
+  ASSERT_EQ(r.heap.size(), r.pushed.size());
+  std::vector<Key> order;
+  while (!r.heap.empty()) order.push_back(r.pop());
+  EXPECT_EQ(order, r.sortedReference());
 }
 
-TEST(CalendarQueue, InterleavedPushPopStaysIdenticalToTheHeap) {
-  // Pops interleave with pushes so the cursor crosses bucket boundaries,
-  // drains the ring, and reseeds from the overflow ladder mid-run — the
-  // rollover paths a single drain does not exercise. Pushes are >= the
-  // last popped time, as the simulator guarantees.
+template <typename Payload>
+void checkInterleavedPushPop() {
+  // Pops interleave with pushes, as in a simulation: every push is at or
+  // after the last popped time, so the whole pop sequence is the sorted
+  // order of everything pushed. Pushes are mostly near-future, sometimes
+  // ties with now, sometimes far-future hops.
   util::Rng rng{42};
-  CalendarQueue calendar;
-  BinaryHeapQueue heap;
-  std::uint64_t seq = 0;
-  std::int64_t nowPs = 0;
-  auto pushBoth = [&](std::int64_t timePs) {
-    const Event event{timePs, seq++, {}};
-    calendar.push(event);
-    heap.push(event);
-  };
-  for (int i = 0; i < 200; ++i) pushBoth(static_cast<std::int64_t>(rng() % 1000));
-  std::vector<std::pair<std::int64_t, std::uint64_t>> calendarOrder;
-  std::vector<std::pair<std::int64_t, std::uint64_t>> heapOrder;
-  while (!calendar.empty()) {
-    ASSERT_EQ(calendar.peekTimePs(), heap.peekTimePs());
-    const Event a = calendar.pop();
-    const Event b = heap.pop();
-    calendarOrder.emplace_back(a.timePs, a.seq);
-    heapOrder.emplace_back(b.timePs, b.seq);
-    nowPs = a.timePs;
-    // Keep the set churning: mostly near-future pushes (same bucket or a
-    // few buckets ahead), occasionally far past the window to land on the
-    // ladder. Stop refilling near the end so the test terminates.
-    if (seq < 3000) {
+  Recorder<Payload> r;
+  for (int i = 0; i < 200; ++i) r.push(static_cast<std::int64_t>(rng() % 1000));
+  std::vector<Key> order;
+  while (!r.heap.empty()) {
+    order.push_back(r.pop());
+    const std::int64_t nowPs = order.back().first;
+    // Stop refilling near the end so the test terminates.
+    if (r.pushed.size() < 3000) {
       const std::uint64_t kind = rng() % 8;
       const std::int64_t delta =
           kind == 0   ? 0                                      // tie with now
-          : kind == 7 ? static_cast<std::int64_t>(             // ladder hop
+          : kind == 7 ? static_cast<std::int64_t>(             // far hop
                             3'000'000'000ull + rng() % 50'000'000'000ull)
                       : static_cast<std::int64_t>(rng() % 30'000'000ull);
-      pushBoth(nowPs + delta);
+      r.push(nowPs + delta);
     }
   }
-  EXPECT_TRUE(heap.empty());
-  EXPECT_EQ(calendarOrder, heapOrder);
+  EXPECT_EQ(r.pushed.size(), 3000u);
+  EXPECT_EQ(order, r.sortedReference());
+}
+
+TEST(EventHeap, MatchesTheSortedReferenceWithTieBursts) {
+  checkTieBurstSchedule<Handle>();
+  checkTieBurstSchedule<KindArg>();
+}
+
+TEST(EventHeap, InterleavedPushPopMatchesTheSortedReference) {
+  checkInterleavedPushPop<Handle>();
+  checkInterleavedPushPop<KindArg>();
 }
 
 TEST(SymbolTable, InternsDenselyInFirstSightOrder) {
