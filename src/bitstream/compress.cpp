@@ -113,16 +113,15 @@ double zrlRatio(std::span<const std::uint8_t> data) {
          static_cast<double>(data.size());
 }
 
-MfwPlan planMfw(const Bitstream& stream, const fabric::Device& device) {
-  if (!stream.isPartial()) {
-    throw util::BitstreamError{"planMfw: MFW applies to partial streams"};
-  }
-  const ParsedStream parsed = parse(stream, device);
-  const auto& enc = device.geometry().encoding();
+namespace {
 
+/// MFW plan of an already validated partial stream of `rawBytes` bytes.
+MfwPlan planOf(const ParsedStream& parsed, util::Bytes rawBytes,
+               const fabric::Device& device) {
+  const auto& enc = device.geometry().encoding();
   MfwPlan plan;
   plan.totalFrames = static_cast<std::uint32_t>(parsed.writes.size());
-  plan.rawBytes = stream.size();
+  plan.rawBytes = rawBytes;
 
   // Distinct payload contents, viewed in place in the stream's bytes.
   std::unordered_set<std::string_view> payloads;
@@ -136,6 +135,29 @@ MfwPlan planMfw(const Bitstream& stream, const fabric::Device& device) {
       static_cast<std::uint64_t>(plan.uniqueFrames) * enc.frameBytes +
       static_cast<std::uint64_t>(plan.totalFrames) * enc.frameAddressBytes};
   return plan;
+}
+
+void requirePartial(const Bitstream& stream) {
+  if (!stream.isPartial()) {
+    throw util::BitstreamError{"planMfw: MFW applies to partial streams"};
+  }
+}
+
+}  // namespace
+
+MfwPlan planMfw(const Bitstream& stream, const fabric::Device& device) {
+  requirePartial(stream);
+  return planOf(stream.parsedFor(device), stream.size(), device);
+}
+
+util::Bytes Bitstream::mfwWireBytes(const fabric::Device& device) const {
+  requirePartial(*this);
+  MemoEntry& entry = memoEntry(device);
+  const std::lock_guard<std::mutex> lock{memoMutex_};
+  if (!entry.mfwWireBytes) {
+    entry.mfwWireBytes = planOf(entry.parsed, size(), device).wireBytes;
+  }
+  return *entry.mfwWireBytes;
 }
 
 util::Time mfwDrainTime(const MfwPlan& plan, util::Time payloadTimePerFrame,

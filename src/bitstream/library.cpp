@@ -23,31 +23,6 @@ void accumulate(FlowStats& stats, const Bitstream& stream) {
   stats.totalBytes += size;
 }
 
-void feed(util::Crc32& crc, std::uint64_t value) {
-  std::uint8_t bytes[8];
-  for (int i = 0; i < 8; ++i) {
-    bytes[i] = static_cast<std::uint8_t>(value >> (8 * i));
-  }
-  crc.update(bytes);
-}
-
-/// CRC-32 of everything stream sizes/content depend on: rows, per-column
-/// kind/frame layout, and the encoding constants.
-std::uint32_t geometryCrc(const fabric::DeviceGeometry& geometry) {
-  util::Crc32 crc;
-  feed(crc, geometry.rows());
-  for (const fabric::ColumnSpec& column : geometry.columns()) {
-    feed(crc, static_cast<std::uint64_t>(column.kind));
-    feed(crc, column.frames);
-  }
-  const fabric::DeviceGeometry::Encoding& enc = geometry.encoding();
-  feed(crc, enc.frameBytes);
-  feed(crc, enc.fullOverheadBytes);
-  feed(crc, enc.partialOverheadBytes);
-  feed(crc, enc.frameAddressBytes);
-  return crc.value();
-}
-
 /// Process-wide memoization of stream synthesis. Stream bytes are a pure
 /// function of the StreamKey fields, and Bitstream is immutable, so every
 /// library asking for the same content shares one copy instead of paying
@@ -93,15 +68,15 @@ StreamMemo& streamMemo() {
 
 std::uint64_t StreamKey::hash() const noexcept {
   util::Crc32 crc;
-  feed(crc, deviceTag);
-  feed(crc, geometryCrc);
-  feed(crc, static_cast<std::uint64_t>(flow));
-  feed(crc, firstFrame);
-  feed(crc, frameCount);
-  feed(crc, fromModule);
-  feed(crc, toModule);
-  feed(crc, std::bit_cast<std::uint64_t>(fromOccupancy));
-  feed(crc, std::bit_cast<std::uint64_t>(toOccupancy));
+  crc.updateU64(deviceTag);
+  crc.updateU64(geometryCrc);
+  crc.updateU64(static_cast<std::uint64_t>(flow));
+  crc.updateU64(firstFrame);
+  crc.updateU64(frameCount);
+  crc.updateU64(fromModule);
+  crc.updateU64(toModule);
+  crc.updateU64(std::bit_cast<std::uint64_t>(fromOccupancy));
+  crc.updateU64(std::bit_cast<std::uint64_t>(toOccupancy));
   // Widen the CRC with the flow tag and frame count so the three flows (and
   // differently sized regions) land in disjoint 64-bit ranges even on a
   // 32-bit CRC collision.
@@ -116,8 +91,7 @@ Library::Library(const fabric::Floorplan& floorplan,
       modules_(std::move(modules)),
       builder_(floorplan.device()),
       source_(std::move(source)),
-      deviceTag_(deviceTag(floorplan.device().name())),
-      geometryCrc_(geometryCrc(floorplan.device().geometry())) {
+      deviceTag_(deviceTag(floorplan.device().name())) {
   util::require(!modules_.empty(), "Library: need at least one module");
   for (const ModuleSpec& m : modules_) {
     util::require(m.id != 0, "Library: module id 0 is reserved for the baseline");
@@ -134,7 +108,7 @@ const Library::ModuleSpec& Library::spec(ModuleId module) const {
 StreamKey Library::keyBase() const noexcept {
   StreamKey key;
   key.deviceTag = deviceTag_;
-  key.geometryCrc = geometryCrc_;
+  key.geometryCrc = floorplan_->device().geometry().fingerprint();
   return key;
 }
 

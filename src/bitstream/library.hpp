@@ -34,7 +34,7 @@ struct StreamKey {
   enum class Flow : std::uint8_t { kFull, kModule, kDifference };
 
   std::uint32_t deviceTag = 0;     ///< CRC-32 of the device name
-  std::uint32_t geometryCrc = 0;   ///< CRC-32 of the frame/encoding geometry
+  std::uint32_t geometryCrc = 0;   ///< fabric::DeviceGeometry::fingerprint()
   Flow flow = Flow::kFull;
   std::uint32_t firstFrame = 0;    ///< region base (0 for full streams)
   std::uint32_t frameCount = 0;    ///< region frames (0 for full streams)
@@ -126,7 +126,6 @@ class Library {
   StreamSource source_;
   prof::Profiler* profiler_ = nullptr;
   std::uint32_t deviceTag_ = 0;
-  std::uint32_t geometryCrc_ = 0;
   std::shared_ptr<const Bitstream> full_;
   std::map<std::pair<std::size_t, ModuleId>, std::shared_ptr<const Bitstream>>
       modulePartials_;

@@ -29,4 +29,27 @@ ParsedStream parse(std::span<const std::uint8_t> bytes,
   return out;
 }
 
+Bitstream::MemoEntry& Bitstream::memoEntry(const fabric::Device& device) const {
+  const fabric::DeviceGeometry& geometry = device.geometry();
+  const std::lock_guard<std::mutex> lock{memoMutex_};
+  for (const std::unique_ptr<MemoEntry>& entry : memo_) {
+    if (entry->fingerprint == geometry.fingerprint() &&
+        entry->totalFrames == geometry.totalFrames() &&
+        entry->encoding == geometry.encoding() &&
+        entry->deviceName == device.name()) {
+      return *entry;
+    }
+  }
+  // Parse while holding the lock: concurrent first users wait for the one
+  // parse instead of repeating it. A throw leaves the memo unchanged.
+  memo_.push_back(std::make_unique<MemoEntry>(MemoEntry{
+      geometry.fingerprint(), device.name(), geometry.totalFrames(),
+      geometry.encoding(), parse(*this, device), std::nullopt}));
+  return *memo_.back();
+}
+
+const ParsedStream& Bitstream::parsedFor(const fabric::Device& device) const {
+  return memoEntry(device).parsed;
+}
+
 }  // namespace prtr::bitstream

@@ -1,31 +1,26 @@
 #pragma once
 /// \file parser.hpp
 /// Structural validation and decoding of XBF streams. The configuration
-/// engine parses every stream before applying it, mirroring the checks a
+/// engine validates every stream before applying it, mirroring the checks a
 /// real configuration controller performs (and the ones the Cray API layers
 /// on top — see config/vendor_api.hpp).
+///
+/// Two entry points share one rule set (analyze::scanStream):
+///  * parse() validates from scratch on every call and returns a new
+///    ParsedStream. Use it for bytes that are not a Bitstream, or to time
+///    the parse itself.
+///  * Bitstream::parsedFor(device) is the memoized path the configuration
+///    engine uses: the first call per (stream, device identity) runs parse()
+///    under the stream's lock, later calls from any node or thread return the
+///    same ParsedStream. A failed parse is never memoized.
 
 #include <cstdint>
 #include <span>
-#include <vector>
 
 #include "bitstream/format.hpp"
 #include "fabric/device.hpp"
 
 namespace prtr::bitstream {
-
-/// A decoded frame write.
-struct FrameWrite {
-  std::uint32_t frame = 0;
-  std::span<const std::uint8_t> payload;
-};
-
-/// Parsed view over a validated stream. Non-owning: the underlying byte
-/// buffer must outlive the view.
-struct ParsedStream {
-  Header header;
-  std::vector<FrameWrite> writes;
-};
 
 /// Parses and validates `bytes` against `device`'s geometry.
 /// Throws BitstreamError on: bad magic, unknown type, device mismatch,

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "bitstream/compress.hpp"
-#include "bitstream/parser.hpp"
 #include "util/error.hpp"
 
 namespace prtr::config {
@@ -64,13 +62,9 @@ sim::Process IcapController::drain(util::Bytes total,
   wg.done();
 }
 
-util::Bytes IcapController::wireBytes(const bitstream::Bitstream& stream) {
+util::Bytes IcapController::wireBytes(const bitstream::Bitstream& stream) const {
   if (!timing_.multiFrameWrite) return stream.size();
-  const auto it = wireBytesCache_.find(&stream);
-  if (it != wireBytesCache_.end()) return it->second;
-  const bitstream::MfwPlan plan =
-      bitstream::planMfw(stream, memory_->device());
-  return wireBytesCache_.emplace(&stream, plan.wireBytes).first->second;
+  return stream.mfwWireBytes(memory_->device());
 }
 
 sim::Process IcapController::load(const bitstream::Bitstream& stream) {

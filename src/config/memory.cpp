@@ -28,9 +28,11 @@ void ConfigMemory::applyFull(const bitstream::ParsedStream& stream) {
   if (stream.header.type != bitstream::StreamType::kFull) {
     throw util::ConfigError{"ConfigMemory: applyFull needs a full stream"};
   }
-  for (const auto& write : stream.writes) {
-    frameOwner_.at(write.frame) = stream.header.moduleId;
-  }
+  // The parser guarantees a full stream writes frames 0..totalFrames-1 in
+  // order, so every frame changes owner.
+  util::require(stream.writes.size() == frameOwner_.size(),
+                "ConfigMemory: full stream does not cover the device");
+  std::fill(frameOwner_.begin(), frameOwner_.end(), stream.header.moduleId);
   retainPayloads(stream);
   framesWritten_ += stream.writes.size();
   done_ = true;
@@ -110,15 +112,6 @@ void ConfigMemory::reset() noexcept {
   framesWritten_ = 0;
   upsets_ = 0;
   if (!image_.empty()) image_.assign(image_.size(), 0);
-  parseCache_.clear();
-}
-
-const bitstream::ParsedStream& ConfigMemory::parsedFor(
-    const bitstream::Bitstream& stream) {
-  const auto it = parseCache_.find(&stream);
-  if (it != parseCache_.end()) return it->second;
-  return parseCache_.emplace(&stream, bitstream::parse(stream, *device_))
-      .first->second;
 }
 
 }  // namespace prtr::config

@@ -6,7 +6,6 @@
 /// a full stream resets the whole array.
 
 #include <cstdint>
-#include <map>
 #include <span>
 #include <vector>
 
@@ -71,12 +70,16 @@ class ConfigMemory {
   std::uint64_t repairFrames(const bitstream::ParsedStream& stream,
                              const std::vector<std::uint32_t>& frames);
 
-  /// Parses `stream` once and caches the result by identity, so repeated
-  /// loads of the same library stream do not re-walk megabytes of CRC.
-  /// The stream must outlive this ConfigMemory (the bitstream::Library
-  /// used by the runtime guarantees that).
+  /// Validated parse of `stream` against this memory's device: the stream's
+  /// own memo (bitstream::Bitstream::parsedFor), shared by every
+  /// ConfigMemory, node and thread that loads the same stream on the same
+  /// device, so the CRC walk runs once per process rather than once per
+  /// node. The reference lives as long as `stream`. Throws BitstreamError
+  /// on every call for an invalid stream.
   [[nodiscard]] const bitstream::ParsedStream& parsedFor(
-      const bitstream::Bitstream& stream);
+      const bitstream::Bitstream& stream) const {
+    return stream.parsedFor(*device_);
+  }
 
  private:
   void retainPayloads(const bitstream::ParsedStream& stream);
@@ -87,7 +90,6 @@ class ConfigMemory {
   std::uint64_t framesWritten_ = 0;
   std::uint64_t upsets_ = 0;
   std::vector<std::uint8_t> image_;  ///< empty unless readback is enabled
-  std::map<const bitstream::Bitstream*, bitstream::ParsedStream> parseCache_;
 };
 
 }  // namespace prtr::config

@@ -1,5 +1,6 @@
 #include "fabric/geometry.hpp"
 
+#include "util/crc32.hpp"
 #include "util/error.hpp"
 
 namespace prtr::fabric {
@@ -33,6 +34,18 @@ DeviceGeometry::DeviceGeometry(std::string name, std::uint32_t rows,
   }
   frameStart_.push_back(acc);
   totalFrames_ = acc;
+
+  util::Crc32 crc;
+  crc.updateU64(rows_);
+  for (const ColumnSpec& column : columns_) {
+    crc.updateU64(static_cast<std::uint64_t>(column.kind));
+    crc.updateU64(column.frames);
+  }
+  crc.updateU64(encoding_.frameBytes);
+  crc.updateU64(encoding_.fullOverheadBytes);
+  crc.updateU64(encoding_.partialOverheadBytes);
+  crc.updateU64(encoding_.frameAddressBytes);
+  fingerprint_ = crc.value();
 }
 
 FrameRange DeviceGeometry::columnFrames(std::size_t index) const {

@@ -61,6 +61,8 @@ class DeviceGeometry {
     std::uint32_t fullOverheadBytes = 1004; ///< full-stream header+commands+CRC
     std::uint32_t partialOverheadBytes = 68;///< partial-stream header+CRC
     std::uint32_t frameAddressBytes = 4;    ///< per-frame address word (partial)
+
+    friend bool operator==(const Encoding&, const Encoding&) noexcept = default;
   };
 
   DeviceGeometry(std::string name, std::uint32_t rows,
@@ -73,6 +75,12 @@ class DeviceGeometry {
 
   [[nodiscard]] std::size_t columnCount() const noexcept { return columns_.size(); }
   [[nodiscard]] std::uint32_t totalFrames() const noexcept { return totalFrames_; }
+
+  /// CRC-32 of everything stream sizes and content depend on: rows, the
+  /// per-column kind/frame layout and the encoding constants (not the name).
+  /// Computed once; keys the stream memo (bitstream::StreamKey) and the
+  /// per-stream parse memo (bitstream::Bitstream::parsedFor).
+  [[nodiscard]] std::uint32_t fingerprint() const noexcept { return fingerprint_; }
 
   /// Frames contributed by column `index`.
   [[nodiscard]] FrameRange columnFrames(std::size_t index) const;
@@ -105,6 +113,7 @@ class DeviceGeometry {
   Encoding encoding_;
   std::vector<std::uint32_t> frameStart_;  ///< prefix sums per column
   std::uint32_t totalFrames_ = 0;
+  std::uint32_t fingerprint_ = 0;
 };
 
 }  // namespace prtr::fabric

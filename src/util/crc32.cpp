@@ -58,4 +58,12 @@ void Crc32::update(std::span<const std::uint8_t> data) noexcept {
   crc_ = crc;
 }
 
+void Crc32::updateU64(std::uint64_t value) noexcept {
+  std::uint8_t bytes[8];
+  for (int i = 0; i < 8; ++i) {
+    bytes[i] = static_cast<std::uint8_t>(value >> (8 * i));
+  }
+  update(bytes);
+}
+
 }  // namespace prtr::util

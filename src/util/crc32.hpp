@@ -15,6 +15,9 @@ class Crc32 {
   /// Feeds `data` into the running checksum.
   void update(std::span<const std::uint8_t> data) noexcept;
 
+  /// Feeds the 8 little-endian bytes of `value` (for hashing key fields).
+  void updateU64(std::uint64_t value) noexcept;
+
   /// Final checksum value for everything fed so far.
   [[nodiscard]] std::uint32_t value() const noexcept { return ~crc_; }
 
