@@ -1,5 +1,6 @@
 #include "analyze/checks_fleet.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "analyze/spec_util.hpp"
@@ -137,7 +138,9 @@ void checkFleetOptions(const fleet::FleetOptions& options,
     sink.emit("FL006", "fleet.arrival",
               "arrival is 'trace' but the trace is empty");
   }
-  if (options.retry.maxAttempts < 1 || options.retry.budgetFraction < 0.0) {
+  if (options.retry.maxAttempts < 1 ||
+      options.retry.maxAttempts > fleet::RetryPolicy::kMaxAttempts ||
+      options.retry.budgetFraction < 0.0) {
     sink.emit("FL007", "fleet.retry",
               "max-attempts = " + std::to_string(options.retry.maxAttempts) +
                   ", retry-budget = " +
@@ -325,7 +328,9 @@ fleet::FleetOptions fleetSpecToOptions(const FleetSpec& spec) {
                     : spec.routing == "round-robin"
                         ? fleet::RoutingPolicy::kRoundRobin
                         : fleet::RoutingPolicy::kPowerOfTwoChoices;
-  options.retry.maxAttempts = static_cast<std::uint32_t>(spec.maxAttempts);
+  // Saturate rather than wrap: 2^32 + 1 must not turn into a valid 1.
+  options.retry.maxAttempts = static_cast<std::uint32_t>(
+      std::min<std::uint64_t>(spec.maxAttempts, 0xFFFF'FFFFu));
   options.retry.budgetFraction = spec.retryBudget;
   options.retry.burstTokens = spec.retryBurst;
   options.retry.backoffBase = util::Time::picoseconds(
@@ -383,7 +388,17 @@ DiagnosticSink lintFleetSpec(const FleetSpec& spec) {
       spec.arrival != "trace") {
     sink.emit("FL005", "arrival", "unknown arrival '" + spec.arrival + "'");
   }
-  checkFleetOptions(fleetSpecToOptions(spec), sink);
+  // max-attempts is range-checked as written, before the narrowing cast,
+  // so the message carries the value the spec actually holds.
+  fleet::FleetOptions options = fleetSpecToOptions(spec);
+  if (spec.maxAttempts > fleet::RetryPolicy::kMaxAttempts) {
+    sink.emit("FL007", "fleet.retry",
+              "max-attempts = " + std::to_string(spec.maxAttempts) +
+                  " exceeds the 8-bit attempt counter (at most " +
+                  std::to_string(fleet::RetryPolicy::kMaxAttempts) + ")");
+    options.retry.maxAttempts = fleet::RetryPolicy{}.maxAttempts;
+  }
+  checkFleetOptions(options, sink);
   return sink;
 }
 

@@ -216,8 +216,9 @@ constexpr std::array kCatalog{
              "supply TraceArrival entries programmatically, or use a "
              "synthetic arrival process"},
     RuleInfo{"FL007", Category::kFleet, Severity::kError,
-             "retry policy degenerate (zero attempts or negative budget)",
-             "allow at least one attempt and a non-negative retry-budget"},
+             "retry policy degenerate (zero attempts, more than 255 "
+             "attempts, or negative budget)",
+             "allow 1..255 attempts and a non-negative retry-budget"},
     RuleInfo{"FL008", Category::kFleet, Severity::kError,
              "breaker thresholds degenerate (zero failure threshold, zero "
              "probes, more required probe successes than probes, or a "

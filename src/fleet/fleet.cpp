@@ -110,7 +110,11 @@ struct Request {
   bool hedged = false;
   std::int32_t primaryBlade = -1;
   std::uint32_t inFlight = 0;  ///< copies currently queued or in service
+  /// Live trace record (tracing on): filled by CellRecorder::onArrival and
+  /// valid until the request's terminal recorder call.
+  trace::CellRecorder::Slot traceSlot = 0;
 };
+static_assert(sizeof(Request) == 40, "the trace slot rides in padding");
 
 enum class BreakerState : std::uint8_t { kClosed, kOpen, kHalfOpen };
 
@@ -329,8 +333,8 @@ struct Cell {
     reg.observe(ids.servicePs, servicePs);
     schedule(nowPs + servicePs, EventKind::kCompletion, bladeIdx);
     if (rec) {
-      rec->onServiceStart(job.req, job.attempt, bladeIdx, nowPs, stallPs,
-                          configPs, execPs, nowPs + servicePs);
+      rec->onServiceStart(r.traceSlot, job.req, job.attempt, bladeIdx, nowPs,
+                          stallPs, configPs, execPs, nowPs + servicePs);
     }
   }
 
@@ -349,7 +353,10 @@ struct Cell {
     ++r.inFlight;
     job.attempt = r.attempts;
     if (!hedge) r.primaryBlade = static_cast<std::int32_t>(bladeIdx);
-    if (rec) rec->onDispatch(reqIdx, job.attempt, hedge, bladeIdx, nowPs);
+    if (rec) {
+      rec->onDispatch(r.traceSlot, reqIdx, job.attempt, hedge, bladeIdx,
+                      nowPs);
+    }
     if (blade.busy) {
       blade.queue.push_back(job);
     } else {
@@ -364,19 +371,20 @@ struct Cell {
   void shedFresh(std::uint32_t reqIdx, obs::CounterId counter,
                  trace::Outcome outcome) {
     reg.add(counter);
-    requests[reqIdx].failed = true;
+    Request& r = requests[reqIdx];
+    r.failed = true;
     if (recordSeries) {
       obs::TimeSeries::Window& w = series.at(nowPs);
       ++w.shed;
       ++w.bad;
     }
-    if (rec) rec->onShed(reqIdx, outcome, nowPs);
+    if (rec) rec->onShed(r.traceSlot, reqIdx, outcome, nowPs);
   }
 
   void admitFresh(std::uint32_t reqIdx) {
     Request& r = requests[reqIdx];
     reg.add(ids.offered);
-    if (rec) rec->onArrival(reqIdx, nowPs);
+    if (rec) r.traceSlot = rec->onArrival(reqIdx, nowPs);
     // Per-user token bucket ahead of routing: a rate-limited user's
     // request never consumes a routing decision or queue estimate.
     if (options.rateLimit.enabled) {
@@ -500,7 +508,7 @@ struct Cell {
       ++w.failed;
       ++w.bad;
     }
-    if (rec) rec->onFailed(reqIdx, nowPs);
+    if (rec) rec->onFailed(r.traceSlot, reqIdx, nowPs);
   }
 
   void onCompletion(std::uint32_t bladeIdx) {
@@ -603,7 +611,6 @@ struct Cell {
         if (recordSeries) {
           obs::TimeSeries::Window& w = series.at(nowPs);
           ++w.completed;
-          w.latency.observe(latencyPs);
           if (latencyPs <= sloTargetPs) {
             ++w.good;
           } else {
@@ -611,7 +618,7 @@ struct Cell {
           }
         }
         if (rec) {
-          rec->onDone(job.req, job.hedge, nowPs, slowThresholdPs,
+          rec->onDone(r.traceSlot, job.req, job.hedge, nowPs, slowThresholdPs,
                       sloTargetPs);
         }
       } else if (r.inFlight == 0) {
@@ -628,7 +635,7 @@ struct Cell {
                      EventKind::kRetry, job.req);
           } else {
             reg.add(ids.retriesDenied);
-            if (rec) rec->onRetryDenied(job.req, nowPs);
+            if (rec) rec->onRetryDenied(r.traceSlot, job.req, nowPs);
             finishFailed(job.req);
           }
         } else {
@@ -641,7 +648,9 @@ struct Cell {
   }
 
   /// Starts the next queued job, discarding copies whose request already
-  /// finished (hedge losers cancelled at dequeue — they cost nothing).
+  /// finished (hedge losers cancelled at dequeue — they cost nothing). The
+  /// recorder already clipped such a copy at the terminal decision and
+  /// freed the request's trace slot, so the discard makes no recorder call.
   void pumpQueue(std::uint32_t bladeIdx) {
     Blade& blade = blades[bladeIdx];
     while (!blade.busy && !blade.queue.empty()) {
@@ -651,7 +660,6 @@ struct Cell {
       if (r.done) {
         --r.inFlight;
         reg.add(ids.hedgeCancelled);
-        if (rec) rec->onCancelled(job.req, job.attempt, nowPs);
         if (job.probe && blade.state == BreakerState::kHalfOpen &&
             blade.probesInFlight > 0) {
           --blade.probesInFlight;
@@ -687,7 +695,7 @@ struct Cell {
     hedgeTokens -= 1.0;
     r.hedged = true;
     reg.add(ids.hedges);
-    if (rec) rec->onHedgeLaunch(reqIdx, nowPs);
+    if (rec) rec->onHedgeLaunch(r.traceSlot, reqIdx, nowPs);
     dispatch(static_cast<std::uint32_t>(choice), reqIdx, /*hedge=*/true);
   }
 
@@ -806,8 +814,9 @@ void validate(const FleetOptions& options) {
                 "runFleet: payloadSpread must be within [0, 1)");
   util::require(options.payloadBytes.count() >= 2,
                 "runFleet: payload too small");
-  util::require(options.retry.maxAttempts >= 1,
-                "runFleet: retry.maxAttempts must be at least 1");
+  util::require(options.retry.maxAttempts >= 1 &&
+                    options.retry.maxAttempts <= RetryPolicy::kMaxAttempts,
+                "runFleet: retry.maxAttempts must be within [1, 255]");
   util::require(options.retry.budgetFraction >= 0.0,
                 "runFleet: retry.budgetFraction must be non-negative");
   util::require(!options.hedge.enabled ||

@@ -90,6 +90,10 @@ struct TraceArrival {
 /// one, so retry traffic can never exceed that fraction of fresh traffic
 /// (plus a small burst allowance) no matter how hostile the fault plan.
 struct RetryPolicy {
+  /// Attempts are counted in 8 bits (a request's dispatch count and the
+  /// trace's attempt#N), so a budget above this would wrap the counter.
+  static constexpr std::uint32_t kMaxAttempts = 255;
+
   std::uint32_t maxAttempts = 3;  ///< total attempts (1 = never retry)
   double budgetFraction = 0.2;    ///< retry tokens accrued per admission
   double burstTokens = 10.0;      ///< token-bucket cap (burst allowance)

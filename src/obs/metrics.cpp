@@ -50,8 +50,13 @@ double HistogramSummary::quantile(double q) const noexcept {
   // Rank of the q-th observation, 1-based (nearest-rank definition).
   const auto rank = static_cast<std::uint64_t>(std::max(
       1.0, std::ceil(q * static_cast<double>(count))));
+  // Every observation lies in [min, max], so buckets outside
+  // [bucketIndex(min), bucketIndex(max)] are empty (diff keeps the later
+  // bounds, which still cover the window's observations): scanning just
+  // that range gives the same answer as the full 65-bucket scan.
   std::uint64_t seen = 0;
-  for (std::size_t b = 0; b < kBucketCount; ++b) {
+  const std::size_t last = bucketIndex(max);
+  for (std::size_t b = bucketIndex(min); b <= last; ++b) {
     if (buckets[b] == 0) continue;
     if (seen + buckets[b] < rank) {
       seen += buckets[b];

@@ -29,7 +29,6 @@ void TimeSeries::fold(const TimeSeries& other) {
     into.shed += from.shed;
     into.retries += from.retries;
     into.breakerOpens += from.breakerOpens;
-    into.latency.fold(from.latency);
   }
 }
 

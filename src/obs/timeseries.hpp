@@ -1,8 +1,10 @@
 #pragma once
 /// \file timeseries.hpp
-/// Windowed-over-sim-time series for the fleet: per-window latency
-/// histograms plus throughput / shed / retry / breaker counters, and the
-/// multi-window SLO burn-rate evaluation over them.
+/// Windowed-over-sim-time series for the fleet: per-window good/bad,
+/// throughput, failure, shed, retry and breaker counters, and the
+/// multi-window SLO burn-rate evaluation over them. A window is seven
+/// counters (56 B); latency distributions live in the fleet.latency_ps
+/// histogram, not per window.
 ///
 /// Windows are indexed by simulated time (`atPs / windowPs`) and grown
 /// densely, so folding the per-cell series in cell order is element-wise
@@ -20,7 +22,6 @@
 #include <string>
 #include <vector>
 
-#include "obs/metrics.hpp"
 #include "obs/trace_export.hpp"
 
 namespace prtr::obs {
@@ -44,7 +45,7 @@ struct SloSpec {
   double slowBurn = 6.0;
 };
 
-/// Windowed counters + latency histogram over simulated time.
+/// Windowed counters over simulated time.
 class TimeSeries {
  public:
   struct Window {
@@ -55,7 +56,6 @@ class TimeSeries {
     std::uint64_t shed = 0;
     std::uint64_t retries = 0;
     std::uint64_t breakerOpens = 0;
-    HistogramSummary latency;
   };
 
   explicit TimeSeries(std::int64_t windowPs = 50'000'000'000) noexcept

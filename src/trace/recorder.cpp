@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "util/error.hpp"
+
 namespace prtr::trace {
 namespace {
 
@@ -16,6 +18,14 @@ bool spanBefore(const SpanRec& a, const SpanRec& b) noexcept {
   const std::int64_t durB = b.endPs - b.startPs;
   if (durA != durB) return durA > durB;
   return static_cast<int>(a.kind) < static_cast<int>(b.kind);
+}
+
+SpanRec* findSpan(std::vector<SpanRec>& spans, SpanKind kind,
+                  std::uint8_t attempt) {
+  for (SpanRec& s : spans) {
+    if (s.kind == kind && s.attempt == attempt) return &s;
+  }
+  return nullptr;
 }
 
 }  // namespace
@@ -34,32 +44,31 @@ CellRecorder::CellRecorder(const TracePolicy& policy, std::uint64_t seed,
   }
 }
 
-RequestTrace& CellRecorder::live(std::uint32_t req, std::int64_t nowPs) {
-  RequestTrace& rt = live_[req];
-  if (rt.traceId == 0) {
-    rt.traceId = requestTraceId(seed_, out_.cell, req);
-    rt.index = req;
-    rt.arrivalPs = nowPs;
+CellRecorder::LiveRecord& CellRecorder::owned(Slot slot, std::uint32_t req) {
+  util::require(slot < slots_.size() && slots_[slot].owner == req,
+                "CellRecorder: stale request-trace handle");
+  return slots_[slot];
+}
+
+CellRecorder::Slot CellRecorder::onArrival(std::uint32_t req,
+                                           std::int64_t nowPs) {
+  Slot slot = 0;
+  if (free_.empty()) {
+    slot = static_cast<Slot>(slots_.size());
+    slots_.emplace_back();
+  } else {
+    slot = free_.back();
+    free_.pop_back();
   }
-  return rt;
+  LiveRecord& live = slots_[slot];
+  live.owner = req;
+  live.arrivalPs = nowPs;
+  return slot;
 }
 
-SpanRec* CellRecorder::findSpan(RequestTrace& rt, SpanKind kind,
-                                std::uint8_t attempt) {
-  for (SpanRec& s : rt.spans) {
-    if (s.kind == kind && s.attempt == attempt) return &s;
-  }
-  return nullptr;
-}
-
-void CellRecorder::onArrival(std::uint32_t req, std::int64_t nowPs) {
-  live(req, nowPs);
-}
-
-void CellRecorder::onShed(std::uint32_t req, Outcome outcome,
+void CellRecorder::onShed(Slot slot, std::uint32_t req, Outcome outcome,
                           std::int64_t nowPs) {
-  const auto it = live_.find(req);
-  if (it == live_.end()) return;
+  LiveRecord& live = owned(slot, req);
   MarkKind mark = MarkKind::kShedBreaker;
   switch (outcome) {
     case Outcome::kShedQueue: mark = MarkKind::kShedQueue; break;
@@ -67,96 +76,70 @@ void CellRecorder::onShed(std::uint32_t req, Outcome outcome,
     case Outcome::kShedRateLimit: mark = MarkKind::kShedRateLimit; break;
     default: break;
   }
-  it->second.marks.push_back(MarkRec{mark, 0, nowPs});
-  finalize(req, outcome, nowPs, KeepReason::kShed);
+  live.marks.push_back(MarkRec{mark, 0, nowPs});
+  finalize(slot, live, req, outcome, nowPs, KeepReason::kShed);
 }
 
-void CellRecorder::onDispatch(std::uint32_t req, std::uint8_t attempt,
-                              bool hedge, std::uint32_t blade,
-                              std::int64_t nowPs) {
-  const auto it = live_.find(req);
-  if (it == live_.end()) return;
+void CellRecorder::onDispatch(Slot slot, std::uint32_t req,
+                              std::uint8_t attempt, bool hedge,
+                              std::uint32_t blade, std::int64_t nowPs) {
+  LiveRecord& live = owned(slot, req);
   // Open spans carry endPs = -1 until service start closes them (or the
   // terminal decision clips a losing hedge copy).
-  it->second.spans.push_back(SpanRec{SpanKind::kAttempt, attempt, hedge,
-                                     static_cast<std::int32_t>(blade), nowPs,
-                                     -1});
-  it->second.spans.push_back(
+  live.spans.push_back(SpanRec{SpanKind::kAttempt, attempt, hedge,
+                               static_cast<std::int32_t>(blade), nowPs, -1});
+  live.spans.push_back(
       SpanRec{SpanKind::kQueue, attempt, hedge, -1, nowPs, -1});
 }
 
-void CellRecorder::onServiceStart(std::uint32_t req, std::uint8_t attempt,
-                                  std::uint32_t blade, std::int64_t startPs,
-                                  std::int64_t stallPs, std::int64_t reloadPs,
-                                  std::int64_t execPs,
+void CellRecorder::onServiceStart(Slot slot, std::uint32_t req,
+                                  std::uint8_t attempt, std::uint32_t blade,
+                                  std::int64_t startPs, std::int64_t stallPs,
+                                  std::int64_t reloadPs, std::int64_t execPs,
                                   std::int64_t completionPs) {
-  const auto it = live_.find(req);
-  if (it == live_.end()) return;
-  RequestTrace& rt = it->second;
-  if (SpanRec* queue = findSpan(rt, SpanKind::kQueue, attempt)) {
+  std::vector<SpanRec>& spans = owned(slot, req).spans;
+  if (SpanRec* queue = findSpan(spans, SpanKind::kQueue, attempt)) {
     queue->endPs = startPs;
   }
-  if (SpanRec* att = findSpan(rt, SpanKind::kAttempt, attempt)) {
+  if (SpanRec* att = findSpan(spans, SpanKind::kAttempt, attempt)) {
     att->endPs = completionPs;
   }
-  rt.spans.push_back(SpanRec{SpanKind::kService, attempt, false,
-                             static_cast<std::int32_t>(blade), startPs,
-                             completionPs});
+  spans.push_back(SpanRec{SpanKind::kService, attempt, false,
+                          static_cast<std::int32_t>(blade), startPs,
+                          completionPs});
   std::int64_t cursor = startPs;
   if (stallPs > 0) {
-    rt.spans.push_back(SpanRec{SpanKind::kStall, attempt, false, -1, cursor,
-                               cursor + stallPs});
+    spans.push_back(SpanRec{SpanKind::kStall, attempt, false, -1, cursor,
+                            cursor + stallPs});
     cursor += stallPs;
   }
   if (reloadPs > 0) {
-    rt.spans.push_back(SpanRec{SpanKind::kReload, attempt, false, -1, cursor,
-                               cursor + reloadPs});
+    spans.push_back(SpanRec{SpanKind::kReload, attempt, false, -1, cursor,
+                            cursor + reloadPs});
     cursor += reloadPs;
   }
   if (execPs > 0) {
-    rt.spans.push_back(SpanRec{SpanKind::kExecute, attempt, false, -1,
-                               completionPs - execPs, completionPs});
+    spans.push_back(SpanRec{SpanKind::kExecute, attempt, false, -1,
+                            completionPs - execPs, completionPs});
   }
 }
 
-void CellRecorder::onCancelled(std::uint32_t req, std::uint8_t attempt,
-                               std::int64_t nowPs) {
-  // A copy is only discarded at dequeue after its request resolved, at
-  // which point the trace is already finalized (the losing copy's spans
-  // were clipped at the terminal decision). Kept for API completeness.
-  const auto it = live_.find(req);
-  if (it == live_.end()) return;
-  RequestTrace& rt = it->second;
-  if (SpanRec* queue = findSpan(rt, SpanKind::kQueue, attempt)) {
-    queue->endPs = nowPs;
-  }
-  if (SpanRec* att = findSpan(rt, SpanKind::kAttempt, attempt)) {
-    att->endPs = nowPs;
-  }
-  rt.marks.push_back(MarkRec{MarkKind::kHedgeCancel, attempt, nowPs});
+void CellRecorder::onRetryDenied(Slot slot, std::uint32_t req,
+                                 std::int64_t nowPs) {
+  owned(slot, req).marks.push_back(MarkRec{MarkKind::kRetryDenied, 0, nowPs});
 }
 
-void CellRecorder::onRetryDenied(std::uint32_t req, std::int64_t nowPs) {
-  const auto it = live_.find(req);
-  if (it == live_.end()) return;
-  it->second.marks.push_back(MarkRec{MarkKind::kRetryDenied, 0, nowPs});
+void CellRecorder::onHedgeLaunch(Slot slot, std::uint32_t req,
+                                 std::int64_t nowPs) {
+  owned(slot, req).marks.push_back(MarkRec{MarkKind::kHedgeLaunch, 0, nowPs});
 }
 
-void CellRecorder::onHedgeLaunch(std::uint32_t req, std::int64_t nowPs) {
-  const auto it = live_.find(req);
-  if (it == live_.end()) return;
-  it->second.marks.push_back(MarkRec{MarkKind::kHedgeLaunch, 0, nowPs});
-}
-
-void CellRecorder::onDone(std::uint32_t req, bool hedgeWin, std::int64_t nowPs,
-                          std::int64_t slowThresholdPs,
+void CellRecorder::onDone(Slot slot, std::uint32_t req, bool hedgeWin,
+                          std::int64_t nowPs, std::int64_t slowThresholdPs,
                           std::int64_t deadlinePs) {
-  const auto it = live_.find(req);
-  if (it == live_.end()) return;
-  const std::int64_t latencyPs = nowPs - it->second.arrivalPs;
-  if (hedgeWin) {
-    it->second.marks.push_back(MarkRec{MarkKind::kHedgeWin, 0, nowPs});
-  }
+  LiveRecord& live = owned(slot, req);
+  const std::int64_t latencyPs = nowPs - live.arrivalPs;
+  if (hedgeWin) live.marks.push_back(MarkRec{MarkKind::kHedgeWin, 0, nowPs});
   KeepReason tail = KeepReason::kNone;
   if (deadlinePs > 0 && latencyPs > deadlinePs) {
     tail = KeepReason::kDeadlineMiss;
@@ -165,12 +148,12 @@ void CellRecorder::onDone(std::uint32_t req, bool hedgeWin, std::int64_t nowPs,
   } else if (slowThresholdPs >= 0 && latencyPs >= slowThresholdPs) {
     tail = KeepReason::kSlow;
   }
-  finalize(req, Outcome::kOk, nowPs, tail);
+  finalize(slot, live, req, Outcome::kOk, nowPs, tail);
 }
 
-void CellRecorder::onFailed(std::uint32_t req, std::int64_t nowPs) {
-  if (live_.find(req) == live_.end()) return;
-  finalize(req, Outcome::kFailed, nowPs, KeepReason::kFailed);
+void CellRecorder::onFailed(Slot slot, std::uint32_t req, std::int64_t nowPs) {
+  finalize(slot, owned(slot, req), req, Outcome::kFailed, nowPs,
+           KeepReason::kFailed);
 }
 
 void CellRecorder::bladeMark(std::uint32_t blade, BladeMarkKind kind,
@@ -178,21 +161,18 @@ void CellRecorder::bladeMark(std::uint32_t blade, BladeMarkKind kind,
   out_.bladeMarks.push_back(BladeMark{blade, kind, nowPs});
 }
 
-void CellRecorder::finalize(std::uint32_t req, Outcome outcome,
-                            std::int64_t nowPs, KeepReason tailReason) {
-  const auto it = live_.find(req);
-  RequestTrace rt = std::move(it->second);
-  live_.erase(it);
-  rt.outcome = outcome;
-  rt.endPs = nowPs;
+void CellRecorder::finalize(Slot slot, LiveRecord& live, std::uint32_t req,
+                            Outcome outcome, std::int64_t nowPs,
+                            KeepReason tailReason) {
   // Clip copies still open at the terminal decision (a queued hedge loser:
   // it will be discarded at dequeue, costing the blade nothing further).
   std::int64_t resolvedPs = nowPs;
-  for (SpanRec& s : rt.spans) {
+  for (SpanRec& s : live.spans) {
     if (s.endPs < 0) {
       s.endPs = nowPs;
       if (s.kind == SpanKind::kAttempt) {
-        rt.marks.push_back(MarkRec{MarkKind::kHedgeCancel, s.attempt, nowPs});
+        live.marks.push_back(
+            MarkRec{MarkKind::kHedgeCancel, s.attempt, nowPs});
       }
     }
     resolvedPs = std::max(resolvedPs, s.endPs);
@@ -200,31 +180,58 @@ void CellRecorder::finalize(std::uint32_t req, Outcome outcome,
   // The root spans the full resolution window: a losing hedge copy already
   // in service runs past the terminal decision, and no child span may
   // outlive its request (RQ001).
-  rt.spans.push_back(SpanRec{SpanKind::kRequest, 0, false, -1, rt.arrivalPs,
-                             resolvedPs});
+  live.spans.push_back(SpanRec{SpanKind::kRequest, 0, false, -1,
+                               live.arrivalPs, resolvedPs});
   ++out_.recorded;
+  const std::uint64_t traceId = requestTraceId(seed_, out_.cell, req);
   if (tailReason != KeepReason::kNone) {
     ++out_.tailEligible;
     ++out_.keptTail;
-    rt.keep = tailReason;
-    out_.kept.push_back(std::move(rt));
-    return;
+    keep(live, req, traceId, outcome, tailReason, nowPs);
+  } else if (sampleAll_ ||
+             (sampleThreshold_ > 0 &&
+              mix64(traceId ^ kSampleSalt) < sampleThreshold_)) {
+    if (out_.keptSampled >= policy_.maxSampledPerCell) {
+      ++out_.droppedCap;
+    } else {
+      ++out_.keptSampled;
+      keep(live, req, traceId, outcome, KeepReason::kSampled, nowPs);
+    }
   }
-  const bool sampled =
-      sampleAll_ || (sampleThreshold_ > 0 &&
-                     mix64(rt.traceId ^ kSampleSalt) < sampleThreshold_);
-  if (!sampled) return;
-  if (out_.keptSampled >= policy_.maxSampledPerCell) {
-    ++out_.droppedCap;
-    return;
-  }
-  ++out_.keptSampled;
-  rt.keep = KeepReason::kSampled;
-  out_.kept.push_back(std::move(rt));
+  // Free the slot; its vectors keep their capacity for the next owner.
+  live.owner = kFree;
+  live.spans.clear();
+  live.marks.clear();
+  free_.push_back(slot);
+}
+
+void CellRecorder::keep(const LiveRecord& live, std::uint32_t req,
+                        std::uint64_t traceId, Outcome outcome,
+                        KeepReason reason, std::int64_t nowPs) {
+  // RequestTrace ranges are 32-bit indices into the arenas.
+  constexpr std::size_t kArenaMax = 0xFFFF'FFFFu;
+  util::require(out_.spans.size() + live.spans.size() <= kArenaMax &&
+                    out_.marks.size() + live.marks.size() <= kArenaMax,
+                "CellRecorder: kept-trace arena exceeds 2^32 entries");
+  RequestTrace rt;
+  rt.traceId = traceId;
+  rt.index = req;
+  rt.outcome = outcome;
+  rt.keep = reason;
+  rt.arrivalPs = live.arrivalPs;
+  rt.endPs = nowPs;
+  rt.spanBegin = static_cast<std::uint32_t>(out_.spans.size());
+  rt.spanCount = static_cast<std::uint32_t>(live.spans.size());
+  rt.markBegin = static_cast<std::uint32_t>(out_.marks.size());
+  rt.markCount = static_cast<std::uint32_t>(live.marks.size());
+  out_.spans.insert(out_.spans.end(), live.spans.begin(), live.spans.end());
+  out_.marks.insert(out_.marks.end(), live.marks.begin(), live.marks.end());
+  out_.kept.push_back(rt);
 }
 
 CellTrace CellRecorder::take() {
-  live_.clear();
+  slots_.clear();
+  free_.clear();
   CellTrace out = std::move(out_);
   out_ = CellTrace{};
   out_.cell = out.cell;
@@ -255,11 +262,14 @@ void exportFleetTrace(const FleetTrace& fleet, obs::ChromeTrace& chrome) {
                             toString(mark.kind), mark.atPs});
     }
 
+    std::vector<SpanRec> spans;
+    std::vector<const SpanRec*> attempts;
     for (const RequestTrace& rt : cell.kept) {
       const std::string lane = requestLaneName(rt.traceId);
       proc.lanes.push_back(lane);
 
-      std::vector<SpanRec> spans = rt.spans;
+      const std::span<const SpanRec> recorded = cell.spansOf(rt);
+      spans.assign(recorded.begin(), recorded.end());
       std::stable_sort(spans.begin(), spans.end(), spanBefore);
       for (const SpanRec& span : spans) {
         proc.spans.push_back(
@@ -267,14 +277,14 @@ void exportFleetTrace(const FleetTrace& fleet, obs::ChromeTrace& chrome) {
                            util::Time::picoseconds(span.startPs),
                            util::Time::picoseconds(span.endPs)});
       }
-      for (const MarkRec& mark : rt.marks) {
+      for (const MarkRec& mark : cell.marksOf(rt)) {
         proc.instants.push_back(
             obs::TraceInstant{lane, toString(mark.kind), mark.atPs});
       }
 
       // Flow arrows: attempt N -> N+1. A hedge copy links from its launch;
       // a retry links from the end of the failed attempt.
-      std::vector<const SpanRec*> attempts;
+      attempts.clear();
       for (const SpanRec& span : spans) {
         if (span.kind == SpanKind::kAttempt) attempts.push_back(&span);
       }

@@ -23,8 +23,14 @@
 /// Flow events link attempt N to attempt N+1 ("retry") and the primary to
 /// its hedge copy ("hedge"); they are synthesized at export from the
 /// attempt spans, so the recorder never stores them.
+///
+/// Storage: a kept request's spans and marks are appended to its cell's
+/// flat arenas (CellTrace::spans / CellTrace::marks) and the RequestTrace
+/// holds `[begin, begin + count)` ranges into them, so keeping a trace
+/// costs two arena appends, not two heap vectors per request.
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -101,7 +107,8 @@ struct MarkRec {
   std::int64_t atPs = 0;
 };
 
-/// One request's recorded tree.
+/// One kept request's tree. Its spans and marks live in the owning
+/// CellTrace's arenas; see CellTrace::spansOf / marksOf.
 struct RequestTrace {
   std::uint64_t traceId = 0;
   std::uint32_t index = 0;  ///< per-cell request index the id derives from
@@ -109,8 +116,10 @@ struct RequestTrace {
   KeepReason keep = KeepReason::kNone;
   std::int64_t arrivalPs = 0;
   std::int64_t endPs = 0;
-  std::vector<SpanRec> spans;
-  std::vector<MarkRec> marks;
+  std::uint32_t spanBegin = 0;  ///< first span in CellTrace::spans
+  std::uint32_t spanCount = 0;
+  std::uint32_t markBegin = 0;  ///< first mark in CellTrace::marks
+  std::uint32_t markCount = 0;
 
   [[nodiscard]] std::int64_t latencyPs() const noexcept {
     return endPs - arrivalPs;
@@ -138,12 +147,25 @@ struct BladeMark {
 struct CellTrace {
   std::size_t cell = 0;
   std::vector<RequestTrace> kept;   ///< terminal-decision order
+  std::vector<SpanRec> spans;       ///< span arena of the kept requests
+  std::vector<MarkRec> marks;       ///< mark arena of the kept requests
   std::vector<BladeMark> bladeMarks;
   std::uint64_t recorded = 0;       ///< requests that reached a terminal state
   std::uint64_t tailEligible = 0;   ///< requests qualifying as tail
   std::uint64_t keptTail = 0;       ///< tail requests kept (== tailEligible)
   std::uint64_t keptSampled = 0;    ///< hash-sampled keeps (capped)
   std::uint64_t droppedCap = 0;     ///< sampled keeps dropped by the cap
+
+  /// A kept request's spans, in recording order (the root comes last).
+  [[nodiscard]] std::span<const SpanRec> spansOf(
+      const RequestTrace& rt) const noexcept {
+    return std::span<const SpanRec>{spans}.subspan(rt.spanBegin, rt.spanCount);
+  }
+  /// A kept request's instant marks, in recording order.
+  [[nodiscard]] std::span<const MarkRec> marksOf(
+      const RequestTrace& rt) const noexcept {
+    return std::span<const MarkRec>{marks}.subspan(rt.markBegin, rt.markCount);
+  }
 };
 
 /// Per-cell traces in cell order.

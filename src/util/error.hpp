@@ -63,4 +63,10 @@ inline void require(bool condition, const std::string& message) {
   if (!condition) throw DomainError{message};
 }
 
+/// Literal-message overload: builds no std::string unless the check fails,
+/// so hot-path checks stay allocation-free.
+inline void require(bool condition, const char* message) {
+  if (!condition) throw DomainError{message};
+}
+
 }  // namespace prtr::util

@@ -784,6 +784,29 @@ TEST(FaultRules, ScenarioStrictLintRejectsBadFaultOptions) {
 // Spec front end and lintAll
 // ---------------------------------------------------------------------------
 
+TEST(FleetRules, MaxAttemptsIsRangeCheckedBeforeTheNarrowingCast) {
+  const auto lint = [](const std::string& text) {
+    std::istringstream in{text};
+    return analyze::lintFleetSpec(analyze::parseFleetSpec(in)).codes();
+  };
+  EXPECT_TRUE(lint("max-attempts 255\n").empty());
+  // 300 would wrap the 8-bit attempt counter; 2^32 + 1 would become 1
+  // through a plain u32 cast and slip past a post-cast check.
+  EXPECT_EQ(lint("max-attempts 300\n"), (std::vector<std::string>{"FL007"}));
+  EXPECT_EQ(lint("max-attempts 4294967297\n"),
+            (std::vector<std::string>{"FL007"}));
+  EXPECT_EQ(lint("max-attempts 0\n"), (std::vector<std::string>{"FL007"}));
+
+  // The typed path (bench_fleet: spec -> options -> checkFleetOptions)
+  // saturates instead of wrapping, so it rejects the same spec.
+  std::istringstream huge{"max-attempts 4294967297\n"};
+  const fleet::FleetOptions options =
+      analyze::fleetSpecToOptions(analyze::parseFleetSpec(huge));
+  DiagnosticSink sink;
+  analyze::checkFleetOptions(options, sink);
+  EXPECT_EQ(sink.codes(), (std::vector<std::string>{"FL007"}));
+}
+
 TEST(SpecParsing, FloorplanSpecRoundtripsAndLints) {
   std::istringstream in{
       "# comment\n"

@@ -192,6 +192,21 @@ TEST(FleetOptionsTest, ValidationRejectsBrokenTopologies) {
       util::DomainError);
 }
 
+TEST(FleetOptionsTest, ValidationRejectsAttemptBudgetsTheCounterCannotHold) {
+  fleet::FleetOptions options = smallFleet();
+  options.requests = 2'000;
+  options.retry.maxAttempts = 256;  // one past the 8-bit attempt counter
+  EXPECT_THROW(
+      (void)runFleet(paperRegistry(), sharedProfile(), options),
+      util::DomainError);
+  options.retry.maxAttempts = 300;
+  EXPECT_THROW(
+      (void)runFleet(paperRegistry(), sharedProfile(), options),
+      util::DomainError);
+  options.retry.maxAttempts = fleet::RetryPolicy::kMaxAttempts;
+  EXPECT_NO_THROW((void)runFleet(paperRegistry(), sharedProfile(), options));
+}
+
 TEST(FleetTraceTest, TraceArrivalsReplayDeterministically) {
   fleet::FleetOptions options = smallFleet();
   options.requests = 5'000;

@@ -87,6 +87,31 @@ TEST(FleetTraceTest, ExportIsByteIdenticalAcrossThreadCounts) {
   EXPECT_EQ(serial.toString(), parallel.toString());
 }
 
+/// 64-bit FNV-1a over the bytes of `text`.
+std::uint64_t fnv1a64(const std::string& text) {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  for (const char c : text) {
+    hash ^= static_cast<unsigned char>(c);
+    hash *= 0x100000001b3ULL;
+  }
+  return hash;
+}
+
+// Byte-identity guard for the recorder and its export: the digest and the
+// sampler tallies were recorded from the original (map-keyed, per-request
+// vector) recorder, so any storage change must reproduce them exactly.
+TEST(FleetTraceTest, ExportDigestIsPinned) {
+  fleet::FleetOptions options = tracedFleet();
+  obs::ChromeTrace trace;
+  options.hooks.trace = &trace;
+  const fleet::FleetReport report =
+      runFleet(paperRegistry(), sharedProfile(), options);
+  EXPECT_EQ(report.tracesKept, 3168u);
+  EXPECT_EQ(report.tailEligible, 2793u);
+  EXPECT_EQ(report.tracesDroppedCap, 0u);
+  EXPECT_EQ(fnv1a64(trace.toJson()), 0x3681343b53cd3f74ULL);
+}
+
 TEST(FleetTraceTest, TracingIsAPureObserver) {
   fleet::FleetOptions options = smallFleet();
   options.degradedFraction = 0.25;

@@ -5,11 +5,17 @@
 // produce equal snapshots.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <string_view>
+#include <vector>
 
 #include "obs/metrics.hpp"
 #include "runtime/scenario.hpp"
 #include "tasks/workload.hpp"
+#include "util/rng.hpp"
 
 namespace {
 
@@ -161,6 +167,105 @@ TEST(MetricsHistogram, QuantilesAreDeterministicAndClampedToTheRange) {
   EXPECT_NE(json.find("\"p50\""), std::string::npos);
   EXPECT_NE(json.find("\"p95\""), std::string::npos);
   EXPECT_NE(json.find("\"p99\""), std::string::npos);
+}
+
+/// The quantile as a scan over all 65 buckets: the reference the
+/// occupied-range scan in HistogramSummary::quantile must reproduce.
+double fullScanQuantile(const obs::HistogramSummary& h, double q) {
+  if (h.count == 0) return 0.0;
+  q = std::clamp(q, 0.0, 1.0);
+  const auto rank = static_cast<std::uint64_t>(
+      std::max(1.0, std::ceil(q * static_cast<double>(h.count))));
+  std::uint64_t seen = 0;
+  for (std::size_t b = 0; b < obs::HistogramSummary::kBucketCount; ++b) {
+    if (h.buckets[b] == 0) continue;
+    if (seen + h.buckets[b] < rank) {
+      seen += h.buckets[b];
+      continue;
+    }
+    const double lo = b == 0 ? 0.0 : std::ldexp(1.0, static_cast<int>(b) - 1);
+    const double hi =
+        b == 0 ? 0.0 : std::ldexp(1.0, static_cast<int>(b)) - 1.0;
+    const double position = static_cast<double>(rank - seen - 1) /
+                            static_cast<double>(h.buckets[b]);
+    return std::clamp(lo + (hi - lo) * position, static_cast<double>(h.min),
+                      static_cast<double>(h.max));
+  }
+  return static_cast<double>(h.max);
+}
+
+bool sameDouble(double a, double b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+TEST(MetricsHistogram, OccupiedRangeQuantileMatchesTheFullScan) {
+  util::Rng rng{0x9a11e5};
+  std::vector<obs::HistogramSummary> cases;
+  for (int trial = 0; trial < 400; ++trial) {
+    obs::HistogramSummary h;
+    const std::uint64_t n = 1 + rng.below(trial % 4 == 0 ? 3 : 500);
+    const int shape = trial % 5;
+    // Magnitudes stay below 2^53 so 500 observations cannot overflow the
+    // int64 sum; the top buckets get their own cases below.
+    const int bit = static_cast<int>(rng.below(52));
+    for (std::uint64_t i = 0; i < n; ++i) {
+      std::int64_t v = 0;
+      switch (shape) {
+        case 0:  // log-uniform magnitudes
+          v = static_cast<std::int64_t>(rng() >> (12 + rng.below(52)));
+          break;
+        case 1:  // zeros mixed with small positives
+          v = rng.chance(0.4) ? 0 : rng.range(1, 64);
+          break;
+        case 2:  // negatives (clamped into bucket 0) and positives
+          v = rng.range(-1'000'000, 1'000'000);
+          break;
+        case 3:  // a single bucket: [2^bit, 2^(bit+1) - 1]
+          v = (std::int64_t{1} << bit) +
+              static_cast<std::int64_t>(rng.below(std::uint64_t{1} << bit));
+          break;
+        default:  // all negative: every observation in bucket 0
+          v = -rng.range(1, 1'000'000);
+          break;
+      }
+      h.observe(v);
+    }
+    cases.push_back(h);
+  }
+  // Folds and diffs: diff keeps the later (wider) bounds.
+  for (std::size_t i = 0; i + 1 < cases.size(); i += 7) {
+    obs::HistogramSummary folded = cases[i];
+    folded.fold(cases[i + 1]);
+    obs::HistogramSummary delta = folded;
+    delta.count -= cases[i].count;
+    for (std::size_t b = 0; b < obs::HistogramSummary::kBucketCount; ++b) {
+      delta.buckets[b] -= cases[i].buckets[b];
+    }
+    cases.push_back(folded);
+    cases.push_back(delta);
+  }
+  cases.emplace_back();  // empty
+  for (const std::vector<std::int64_t>& values :
+       std::vector<std::vector<std::int64_t>>{
+           {INT64_MAX}, {0, INT64_MAX}, {-7, INT64_MAX}, {INT64_MIN, 0}}) {
+    obs::HistogramSummary h;
+    for (const std::int64_t v : values) h.observe(v);
+    cases.push_back(h);
+  }
+
+  const std::vector<double> fixedQ = {0.0,  1e-9, 0.001, 0.1,   0.5,
+                                      0.9,  0.95, 0.99,  0.999, 1.0,
+                                      -0.5, 1.5};
+  for (std::size_t c = 0; c < cases.size(); ++c) {
+    std::vector<double> qs = fixedQ;
+    for (int k = 0; k < 8; ++k) qs.push_back(rng.uniform());
+    for (const double q : qs) {
+      const double got = cases[c].quantile(q);
+      const double want = fullScanQuantile(cases[c], q);
+      ASSERT_TRUE(sameDouble(got, want))
+          << "case " << c << " q=" << q << ": " << got << " vs " << want;
+    }
+  }
 }
 
 TEST(MetricsSnapshot, MergePrefixesAndCombines) {

@@ -23,6 +23,10 @@ obs::TimeSeries makeSeries(const std::vector<std::uint64_t>& good,
   return series;
 }
 
+// A window is its seven counters and nothing else: no per-window latency
+// histogram (fleet latency lives in the fleet.latency_ps histogram).
+static_assert(sizeof(obs::TimeSeries::Window) == 7 * sizeof(std::uint64_t));
+
 TEST(TimeSeriesTest, AtGrowsDenselyAndClampsNegativeTime) {
   obs::TimeSeries series{100};
   EXPECT_TRUE(series.empty());
