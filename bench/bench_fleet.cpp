@@ -10,11 +10,18 @@
 // latency stays inside the committed baseline band via prtr-report (the
 // run is fully deterministic, so every simulated scalar reproduces
 // exactly). With --trace, a reduced surge run exports its kept request
-// traces as Chrome/Perfetto JSON for prtr-verify and prtr-trace.
+// traces as Chrome/Perfetto JSON for prtr-verify and prtr-trace. Last, the
+// `flat` point replays the healthy fleet at 100x the requests, untraced,
+// and fails the run unless the process peak RSS stays within 1.2x of its
+// peak before that point: request slots are recycled, so fleet memory
+// tracks in-flight requests, not the request count.
 //
 // Usage: bench_fleet [--requests N] [--spec FILE] [--threads N] [--seed N]
 //                    [--json FILE] [--trace FILE]
+#include <sys/resource.h>
+
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <fstream>
 #include <iostream>
@@ -36,6 +43,10 @@ using namespace prtr;
 
 constexpr std::uint64_t kFleetSeed = 61927;  // matches examples/fleet/*.fleet
 constexpr std::uint64_t kDefaultRequests = 1'000'000;
+/// The flat-memory point runs this many times the requests of the others.
+constexpr std::uint64_t kFlatScale = 100;
+/// Largest allowed growth of the process peak RSS over the flat point.
+constexpr double kFlatRssBound = 1.2;
 
 /// The committed-baseline configuration: examples/fleet/steady.fleet.
 fleet::FleetOptions baseOptions() {
@@ -80,6 +91,25 @@ fleet::FleetOptions surgeOptions(const fleet::FleetOptions& base) {
   options.tracing.sampleRate = 0.01;
   options.slo.enabled = true;
   return options;
+}
+
+/// The flat-memory variant: the healthy point at kFlatScale x the
+/// requests with both O(sim-time) observers off — kept-trace arenas are
+/// O(kept) with tail keeps never capped, and the SLO series grows by one
+/// window per 50 ms of simulated time.
+fleet::FleetOptions flatOptions(const fleet::FleetOptions& base) {
+  fleet::FleetOptions options = base;
+  options.requests = base.requests * kFlatScale;
+  options.tracing.enabled = false;
+  options.slo.enabled = false;
+  return options;
+}
+
+/// Peak resident set of this process so far, in KiB (Linux ru_maxrss).
+double peakRssKib() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return static_cast<double>(usage.ru_maxrss);
 }
 
 /// One fleet point rendered for the byte-identity gate: the report body
@@ -135,12 +165,21 @@ int main(int argc, char** argv) {
   options.requests = requests;
   options.seed = report.seedOr(options.seed);
 
-  // Refuse configurations the linter rejects before a million-request run.
-  analyze::DiagnosticSink sink;
-  analyze::checkFleetOptions(options, sink);
-  if (sink.hasErrors()) {
-    std::cerr << sink.toText();
-    return 2;
+  // Refuse configurations the linter rejects before a million-request run,
+  // then the flat point's 100x.
+  fleet::FleetOptions flat = flatOptions(options);
+  flat.threads = n;
+  for (const fleet::FleetOptions* checked : {&options, &flat}) {
+    analyze::DiagnosticSink sink;
+    analyze::checkFleetOptions(*checked, sink);
+    if (sink.hasErrors()) {
+      std::cerr << sink.toText();
+      if (checked == &flat) {
+        std::cerr << "bench_fleet: the flat point runs " << kFlatScale
+                  << " x --requests\n";
+      }
+      return 2;
+    }
   }
 
   std::cout << "=== Fleet: " << options.cells << " cells x "
@@ -262,6 +301,29 @@ int main(int argc, char** argv) {
               << '\n';
   }
 
+  // Flat memory: the last and by far the longest point. Everything before
+  // it set the process peak; recycled request slots keep it there.
+  const double rssBeforeKib = peakRssKib();
+  const auto flatStart = std::chrono::steady_clock::now();
+  const fleet::FleetReport flatReport = runFleet(registry, profile, flat);
+  const double flatWallS = std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - flatStart)
+                               .count();
+  const double rssAfterKib = peakRssKib();
+  const double rssRatio = rssAfterKib / rssBeforeKib;
+  const double flatRequestsPerS =
+      flatWallS > 0.0 ? static_cast<double>(flat.requests) / flatWallS : 0.0;
+  std::cout << "flat: " << flat.requests << " requests untraced in "
+            << util::formatDouble(flatWallS, 3) << " s ("
+            << util::formatDouble(flatRequestsPerS / 1e6, 3)
+            << "M requests/s), peak live requests "
+            << flatReport.peakLiveRequests << " (healthy "
+            << healthy.peakLiveRequests << "), peak RSS "
+            << util::formatDouble(rssBeforeKib / 1024.0, 4) << " -> "
+            << util::formatDouble(rssAfterKib / 1024.0, 4) << " MB (ratio "
+            << util::formatDouble(rssRatio, 3) << ", bound " << kFlatRssBound
+            << ")\n";
+
   pointScalars(report, "healthy", healthy);
   pointScalars(report, "chaos", degraded);
   pointScalars(report, "surge", surged);
@@ -282,12 +344,17 @@ int main(int argc, char** argv) {
   report.scalar("requests", options.requests);
   report.scalar("outputs_identical", std::uint64_t{identical ? 1u : 0u});
   report.scalar("fleet_seed", options.seed);
+  report.scalar("healthy_peak_live_requests", healthy.peakLiveRequests);
+  report.scalar("flat_peak_live_requests", flatReport.peakLiveRequests);
+  report.scalar("flat_peak_rss_ratio", rssRatio);
+  report.scalar("flat_requests_per_s_wall", flatRequestsPerS);
   report.metrics(degraded.metrics);
 
   const bool ok =
       identical && healthy.failed == 0 && degraded.breakerOpens > 0 &&
       degraded.retryBudgetConsumption() <=
           chaos.retry.budgetFraction + 0.01 &&
-      surged.shedRateLimited > 0 && surged.tailRetention() == 1.0;
+      surged.shedRateLimited > 0 && surged.tailRetention() == 1.0 &&
+      rssRatio <= kFlatRssBound;
   return ok ? report.finish() : 1;
 }

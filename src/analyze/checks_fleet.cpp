@@ -128,6 +128,13 @@ void checkFleetOptions(const fleet::FleetOptions& options,
   }
   if (options.requests < 1) {
     sink.emit("FL002", "fleet.requests", "requests = 0");
+  } else if (options.maxCellQuota() >
+             fleet::FleetOptions::kMaxRequestsPerCell) {
+    // Checked in 64 bits, before the per-cell sequence narrows to 32.
+    sink.emit("FL002", "fleet.requests",
+              "requests = " + std::to_string(options.requests) + " over " +
+                  std::to_string(options.cells) +
+                  " cell(s) exceeds 2^32 - 1 per cell");
   }
   if (!(options.offeredLoad > 0.0) || !std::isfinite(options.offeredLoad)) {
     sink.emit("FL003", "fleet.offered-load",

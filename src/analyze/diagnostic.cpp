@@ -200,8 +200,9 @@ constexpr std::array kCatalog{
              "the XD1 chassis bound of 1..6)",
              "use at least one cell and 1..6 blades per cell"},
     RuleInfo{"FL002", Category::kFleet, Severity::kError,
-             "fleet run needs at least one request",
-             "set requests to 1 or more"},
+             "fleet requests out of range (none, or more than 2^32 - 1 "
+             "per cell)",
+             "set requests to 1 or more, and at most 2^32 - 1 per cell"},
     RuleInfo{"FL003", Category::kFleet, Severity::kError,
              "offered-load must be positive and finite",
              "target a per-blade utilization like 0.7"},

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <deque>
 #include <memory>
 #include <sstream>
 
@@ -96,9 +95,12 @@ enum class EventKind : std::uint8_t { kArrival, kCompletion, kRetry, kHedge };
 /// sequence), so equal-time events fire in schedule order.
 struct CellEvent {
   EventKind kind = EventKind::kArrival;
-  std::uint32_t arg = 0;  ///< blade index (completion) or request index
+  std::uint32_t arg = 0;  ///< blade index (completion) or request slot
 };
 
+/// One live request in the cell's slot pool. A slot is recycled once
+/// nothing can name it again (see Cell::releaseIfSettled), so the pool
+/// grows with the in-flight population, not the request count.
 struct Request {
   std::int64_t arrivalPs = 0;
   std::uint32_t task = 0;
@@ -110,20 +112,50 @@ struct Request {
   bool hedged = false;
   std::int32_t primaryBlade = -1;
   std::uint32_t inFlight = 0;  ///< copies currently queued or in service
-  /// Live trace record (tracing on): filled by CellRecorder::onArrival and
-  /// valid until the request's terminal recorder call.
-  trace::CellRecorder::Slot traceSlot = 0;
+  std::uint32_t timers = 0;    ///< pending kRetry/kHedge events naming the slot
+  /// Per-cell arrival sequence. Trace ids and every recorder call use it,
+  /// never the slot index, so slot reuse cannot reach any output.
+  std::uint32_t seq = 0;
 };
-static_assert(sizeof(Request) == 40, "the trace slot rides in padding");
 
 enum class BreakerState : std::uint8_t { kClosed, kOpen, kHalfOpen };
 
 struct Job {
-  std::uint32_t req = 0;
+  std::uint32_t slot = 0;  ///< the request's slot in Cell::requests
   std::int64_t enqueuePs = 0;
   std::uint8_t attempt = 0;  ///< the request's attempt number at dispatch
   bool probe = false;  ///< dispatched while the blade was half-open
   bool hedge = false;  ///< the hedged copy, not the primary dispatch
+};
+
+/// A blade's FIFO of queued jobs: a vector with a moving head, compacted
+/// once the consumed prefix is half the storage. A steady queue reuses its
+/// capacity and allocates nothing (std::deque frees and reallocates a
+/// block every few dozen jobs).
+class JobQueue {
+ public:
+  [[nodiscard]] bool empty() const noexcept { return head_ == jobs_.size(); }
+  [[nodiscard]] std::size_t size() const noexcept {
+    return jobs_.size() - head_;
+  }
+  void push(const Job& job) { jobs_.push_back(job); }
+  Job pop() {
+    const Job job = jobs_[head_++];
+    if (head_ == jobs_.size()) {
+      jobs_.clear();
+      head_ = 0;
+    } else if (head_ >= kCompactAt && 2 * head_ >= jobs_.size()) {
+      jobs_.erase(jobs_.begin(),
+                  jobs_.begin() + static_cast<std::ptrdiff_t>(head_));
+      head_ = 0;
+    }
+    return job;
+  }
+
+ private:
+  static constexpr std::size_t kCompactAt = 32;
+  std::vector<Job> jobs_;
+  std::size_t head_ = 0;
 };
 
 /// Degradation multiplier on the calibrated persona-reload cost, indexed
@@ -134,7 +166,7 @@ constexpr double kRungConfigFactor[config::kRecoveryRungCount] = {
     1.0, 1.25, 1.6, 2.5, 8.0};
 
 struct Blade {
-  std::deque<Job> queue;
+  JobQueue queue;
   Job current{};
   bool busy = false;
   bool currentFails = false;  ///< decided at service start
@@ -157,6 +189,7 @@ struct CellResult {
   obs::MetricsSnapshot metrics;
   std::vector<double> utilization;
   std::int64_t endPs = 0;
+  std::uint64_t slots = 0;    ///< request slots ever allocated
   trace::CellTrace trace{};   ///< kept request traces (tracing enabled)
   obs::TimeSeries series{};   ///< windowed series (tracing or SLO enabled)
 };
@@ -179,11 +212,12 @@ struct Cell {
   const Ids& ids;
   obs::Registry reg;
   std::vector<Blade> blades;
-  std::vector<Request> requests;
+  std::vector<Request> requests;       ///< slot pool, indexed by slot
+  std::vector<std::uint32_t> freeSlots;  ///< settled slots, reused LIFO
   sim::EventHeap<CellEvent> heap;
   util::Rng rng;
   std::uint64_t quota = 0;      ///< fresh requests this cell generates
-  std::uint64_t generated = 0;
+  std::uint64_t generated = 0;  ///< fresh arrivals so far (the next seq)
   std::uint64_t traceIdx = 0;
   std::uint64_t rrCounter = 0;
   double retryTokens = 0.0;
@@ -289,7 +323,7 @@ struct Cell {
 
   void startService(std::uint32_t bladeIdx, Job job) {
     Blade& blade = blades[bladeIdx];
-    Request& r = requests[job.req];
+    Request& r = requests[job.slot];
     const TaskProfile& t = profile.tasks[r.task];
     reg.observe(ids.queueWaitPs, nowPs - job.enqueuePs);
 
@@ -333,16 +367,16 @@ struct Cell {
     reg.observe(ids.servicePs, servicePs);
     schedule(nowPs + servicePs, EventKind::kCompletion, bladeIdx);
     if (rec) {
-      rec->onServiceStart(r.traceSlot, job.req, job.attempt, bladeIdx, nowPs,
+      rec->onServiceStart(job.slot, r.seq, job.attempt, bladeIdx, nowPs,
                           stallPs, configPs, execPs, nowPs + servicePs);
     }
   }
 
-  void dispatch(std::uint32_t bladeIdx, std::uint32_t reqIdx, bool hedge) {
+  void dispatch(std::uint32_t bladeIdx, std::uint32_t slot, bool hedge) {
     Blade& blade = blades[bladeIdx];
-    Request& r = requests[reqIdx];
+    Request& r = requests[slot];
     Job job;
-    job.req = reqIdx;
+    job.slot = slot;
     job.enqueuePs = nowPs;
     job.hedge = hedge;
     if (options.breaker.enabled && blade.state == BreakerState::kHalfOpen) {
@@ -354,37 +388,36 @@ struct Cell {
     job.attempt = r.attempts;
     if (!hedge) r.primaryBlade = static_cast<std::int32_t>(bladeIdx);
     if (rec) {
-      rec->onDispatch(r.traceSlot, reqIdx, job.attempt, hedge, bladeIdx,
-                      nowPs);
+      rec->onDispatch(slot, r.seq, job.attempt, hedge, bladeIdx, nowPs);
     }
     if (blade.busy) {
-      blade.queue.push_back(job);
+      blade.queue.push(job);
     } else {
       startService(bladeIdx, job);
     }
   }
 
-  /// Admission -> routing -> dispatch for one fresh arrival. Sheds (and
-  /// returns) when no breaker admits traffic, the queue is over depth,
-  /// or the estimated wait blows the SLO-derived deadline.
   /// Sheds one fresh request: counter, terminal trace, series window.
-  void shedFresh(std::uint32_t reqIdx, obs::CounterId counter,
+  void shedFresh(std::uint32_t slot, obs::CounterId counter,
                  trace::Outcome outcome) {
     reg.add(counter);
-    Request& r = requests[reqIdx];
+    Request& r = requests[slot];
     r.failed = true;
     if (recordSeries) {
       obs::TimeSeries::Window& w = series.at(nowPs);
       ++w.shed;
       ++w.bad;
     }
-    if (rec) rec->onShed(r.traceSlot, reqIdx, outcome, nowPs);
+    if (rec) rec->onShed(slot, r.seq, outcome, nowPs);
   }
 
-  void admitFresh(std::uint32_t reqIdx) {
-    Request& r = requests[reqIdx];
+  /// Admission -> routing -> dispatch for one fresh arrival. Sheds (and
+  /// returns) when no breaker admits traffic, the queue is over depth,
+  /// or the estimated wait blows the SLO-derived deadline.
+  void admitFresh(std::uint32_t slot) {
+    Request& r = requests[slot];
     reg.add(ids.offered);
-    if (rec) r.traceSlot = rec->onArrival(reqIdx, nowPs);
+    if (rec) rec->onArrival(slot, r.seq, nowPs);
     // Per-user token bucket ahead of routing: a rate-limited user's
     // request never consumes a routing decision or queue estimate.
     if (options.rateLimit.enabled) {
@@ -396,24 +429,24 @@ struct Cell {
                                      1e-12);
       lastPs = nowPs;
       if (tokens < 1.0) {
-        shedFresh(reqIdx, ids.shedRateLimit, trace::Outcome::kShedRateLimit);
+        shedFresh(slot, ids.shedRateLimit, trace::Outcome::kShedRateLimit);
         return;
       }
       tokens -= 1.0;
     }
     const std::int32_t choice = route(/*exclude=*/-1);
     if (choice < 0) {
-      shedFresh(reqIdx, ids.shedBreaker, trace::Outcome::kShedBreaker);
+      shedFresh(slot, ids.shedBreaker, trace::Outcome::kShedBreaker);
       return;
     }
     const auto bladeIdx = static_cast<std::uint32_t>(choice);
     const std::size_t d = depth(blades[bladeIdx]);
     if (d >= options.admission.maxQueueDepth) {
-      shedFresh(reqIdx, ids.shedQueue, trace::Outcome::kShedQueue);
+      shedFresh(slot, ids.shedQueue, trace::Outcome::kShedQueue);
       return;
     }
     if (static_cast<std::int64_t>(d) * meanServicePs > deadlineWaitPs) {
-      shedFresh(reqIdx, ids.shedDeadline, trace::Outcome::kShedDeadline);
+      shedFresh(slot, ids.shedDeadline, trace::Outcome::kShedDeadline);
       return;
     }
     reg.add(ids.admitted);
@@ -423,13 +456,14 @@ struct Cell {
       hedgeTokens = std::min(options.hedge.burstTokens,
                              hedgeTokens + options.hedge.budgetFraction);
     }
-    dispatch(bladeIdx, reqIdx, /*hedge=*/false);
+    dispatch(bladeIdx, slot, /*hedge=*/false);
     if (options.hedge.enabled &&
         localLatency.count >= options.hedge.minSamples) {
       const auto delayPs = static_cast<std::int64_t>(
           localLatency.quantile(options.hedge.quantile));
+      ++r.timers;
       schedule(nowPs + std::max<std::int64_t>(1, delayPs), EventKind::kHedge,
-               reqIdx);
+               slot);
     }
   }
 
@@ -453,9 +487,19 @@ struct Cell {
       r.task = drawTask(r.user);
       r.bytes = drawBytes();
     }
-    const auto reqIdx = static_cast<std::uint32_t>(requests.size());
-    requests.push_back(r);
-    admitFresh(reqIdx);
+    // validate() caps a cell's quota at 2^32 - 1, so the sequence fits.
+    r.seq = static_cast<std::uint32_t>(generated);
+    std::uint32_t slot = 0;
+    if (freeSlots.empty()) {
+      slot = static_cast<std::uint32_t>(requests.size());
+      requests.push_back(r);
+    } else {
+      slot = freeSlots.back();
+      freeSlots.pop_back();
+      requests[slot] = r;
+    }
+    admitFresh(slot);
+    releaseIfSettled(slot);
     ++generated;
     if (generated < quota) scheduleNextArrival();
   }
@@ -496,10 +540,22 @@ struct Cell {
     schedule(nowPs + std::max<std::int64_t>(1, gapPs), EventKind::kArrival, 0);
   }
 
+  /// Returns a request's slot to the free list once nothing can name it
+  /// again: the request is terminal (done, failed or shed), no copy is
+  /// queued or in service, and no retry or hedge event is pending. Each
+  /// event handler calls this once for the slot it touched, after its last
+  /// state change, so a slot is freed exactly once.
+  void releaseIfSettled(std::uint32_t slot) {
+    const Request& r = requests[slot];
+    if ((r.done || r.failed) && r.inFlight == 0 && r.timers == 0) {
+      freeSlots.push_back(slot);
+    }
+  }
+
   /// A request reached a terminal failure (attempts exhausted or retry
   /// budget empty) with no copy left in flight.
-  void finishFailed(std::uint32_t reqIdx) {
-    Request& r = requests[reqIdx];
+  void finishFailed(std::uint32_t slot) {
+    Request& r = requests[slot];
     r.failed = true;
     reg.add(ids.completedFailed);
     reg.observe(ids.attempts, r.attempts);
@@ -508,7 +564,7 @@ struct Cell {
       ++w.failed;
       ++w.bad;
     }
-    if (rec) rec->onFailed(r.traceSlot, reqIdx, nowPs);
+    if (rec) rec->onFailed(slot, r.seq, nowPs);
   }
 
   void onCompletion(std::uint32_t bladeIdx) {
@@ -516,7 +572,7 @@ struct Cell {
     const Job job = blade.current;
     const bool fail = blade.currentFails;
     blade.busy = false;
-    Request& r = requests[job.req];
+    Request& r = requests[job.slot];
     --r.inFlight;
 
     // Blade health: the recovery ladder slides on failure streaks and
@@ -618,7 +674,7 @@ struct Cell {
           }
         }
         if (rec) {
-          rec->onDone(r.traceSlot, job.req, job.hedge, nowPs, slowThresholdPs,
+          rec->onDone(job.slot, r.seq, job.hedge, nowPs, slowThresholdPs,
                       sloTargetPs);
         }
       } else if (r.inFlight == 0) {
@@ -630,19 +686,21 @@ struct Cell {
             const double backoff =
                 static_cast<double>(options.retry.backoffBase.ps()) *
                 std::pow(options.retry.backoffFactor, r.attempts - 1);
+            ++r.timers;
             schedule(nowPs + std::max<std::int64_t>(
                                  1, static_cast<std::int64_t>(backoff)),
-                     EventKind::kRetry, job.req);
+                     EventKind::kRetry, job.slot);
           } else {
             reg.add(ids.retriesDenied);
-            if (rec) rec->onRetryDenied(r.traceSlot, job.req, nowPs);
-            finishFailed(job.req);
+            if (rec) rec->onRetryDenied(job.slot, r.seq, nowPs);
+            finishFailed(job.slot);
           }
         } else {
-          finishFailed(job.req);
+          finishFailed(job.slot);
         }
       }
     }
+    releaseIfSettled(job.slot);
 
     pumpQueue(bladeIdx);
   }
@@ -650,13 +708,13 @@ struct Cell {
   /// Starts the next queued job, discarding copies whose request already
   /// finished (hedge losers cancelled at dequeue — they cost nothing). The
   /// recorder already clipped such a copy at the terminal decision and
-  /// freed the request's trace slot, so the discard makes no recorder call.
+  /// idled the request's record, so the discard makes no recorder call;
+  /// it may free the request's slot.
   void pumpQueue(std::uint32_t bladeIdx) {
     Blade& blade = blades[bladeIdx];
     while (!blade.busy && !blade.queue.empty()) {
-      const Job job = blade.queue.front();
-      blade.queue.pop_front();
-      Request& r = requests[job.req];
+      const Job job = blade.queue.pop();
+      Request& r = requests[job.slot];
       if (r.done) {
         --r.inFlight;
         reg.add(ids.hedgeCancelled);
@@ -664,27 +722,37 @@ struct Cell {
             blade.probesInFlight > 0) {
           --blade.probesInFlight;
         }
+        releaseIfSettled(job.slot);
         continue;
       }
       startService(bladeIdx, job);
     }
   }
 
-  void onRetry(std::uint32_t reqIdx) {
-    Request& r = requests[reqIdx];
-    if (r.done || r.failed) return;
-    const std::int32_t choice = route(r.primaryBlade);
-    if (choice < 0) {
-      finishFailed(reqIdx);
-      return;
+  void onRetry(std::uint32_t slot) {
+    Request& r = requests[slot];
+    --r.timers;
+    if (!r.done && !r.failed) {
+      const std::int32_t choice = route(r.primaryBlade);
+      if (choice < 0) {
+        finishFailed(slot);
+      } else {
+        dispatch(static_cast<std::uint32_t>(choice), slot, /*hedge=*/false);
+      }
     }
-    dispatch(static_cast<std::uint32_t>(choice), reqIdx, /*hedge=*/false);
+    releaseIfSettled(slot);
   }
 
-  void onHedge(std::uint32_t reqIdx) {
-    Request& r = requests[reqIdx];
-    // Hedge only a request whose primary is still grinding: not done, not
-    // already hedged, not sitting between retries.
+  void onHedge(std::uint32_t slot) {
+    Request& r = requests[slot];
+    --r.timers;
+    tryHedge(slot, r);
+    releaseIfSettled(slot);
+  }
+
+  /// Hedge only a request whose primary is still grinding: not done, not
+  /// already hedged, not sitting between retries.
+  void tryHedge(std::uint32_t slot, Request& r) {
     if (r.done || r.failed || r.hedged || r.inFlight == 0) return;
     if (hedgeTokens < 1.0) return;
     const std::int32_t choice = route(r.primaryBlade);
@@ -695,8 +763,8 @@ struct Cell {
     hedgeTokens -= 1.0;
     r.hedged = true;
     reg.add(ids.hedges);
-    if (rec) rec->onHedgeLaunch(r.traceSlot, reqIdx, nowPs);
-    dispatch(static_cast<std::uint32_t>(choice), reqIdx, /*hedge=*/true);
+    if (rec) rec->onHedgeLaunch(slot, r.seq, nowPs);
+    dispatch(static_cast<std::uint32_t>(choice), slot, /*hedge=*/true);
   }
 
   CellResult run(std::size_t cellIdx) {
@@ -757,7 +825,6 @@ struct Cell {
                (options.offeredLoad *
                 static_cast<double>(options.bladesPerCell))));
 
-    requests.reserve(quota);
     if (quota > 0) scheduleNextArrival();
     while (!heap.empty()) {
       const auto event = heap.pop();
@@ -774,6 +841,7 @@ struct Cell {
 
     CellResult result;
     result.endPs = endPs;
+    result.slots = requests.size();
     result.utilization.reserve(blades.size());
     for (const Blade& blade : blades) {
       reg.add(ids.bladeBusyPs, static_cast<std::uint64_t>(blade.busyPs));
@@ -805,6 +873,8 @@ void validate(const FleetOptions& options) {
   util::require(options.bladesPerCell >= 1 && options.bladesPerCell <= 6,
                 "runFleet: an XD1 chassis holds 1..6 blades");
   util::require(options.requests >= 1, "runFleet: need at least one request");
+  util::require(options.maxCellQuota() <= FleetOptions::kMaxRequestsPerCell,
+                "runFleet: more than 2^32 - 1 requests per cell");
   util::require(options.offeredLoad > 0.0,
                 "runFleet: offeredLoad must be positive");
   util::require(options.users >= 1, "runFleet: need at least one user");
@@ -898,6 +968,7 @@ FleetReport runFleet(const tasks::FunctionRegistry& registry,
   for (CellResult& cell : cells) {
     report.makespan =
         std::max(report.makespan, util::Time::picoseconds(cell.endPs));
+    report.peakLiveRequests = std::max(report.peakLiveRequests, cell.slots);
     leaves.push_back(std::move(cell.metrics));
   }
   report.metrics = obs::reduceSnapshots(std::move(leaves));

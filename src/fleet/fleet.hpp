@@ -148,9 +148,15 @@ struct HedgePolicy {
 
 /// Everything a fleet run needs besides the function registry itself.
 struct FleetOptions {
+  /// Requests are sequenced per cell in 32 bits (trace ids and recorder
+  /// keys), so no cell may be asked for more fresh requests than this.
+  static constexpr std::uint64_t kMaxRequestsPerCell = 0xFFFF'FFFFu;
+
   std::size_t cells = 4;          ///< chassis count
   std::size_t bladesPerCell = 6;  ///< 1..6 (XD1 chassis bound)
-  std::uint64_t requests = 100'000;  ///< fresh requests across the fleet
+  /// Fresh requests across the fleet, split evenly over the cells (the
+  /// first `requests % cells` cells take one more).
+  std::uint64_t requests = 100'000;
   std::uint64_t seed = 0xF1EE7u;
 
   ArrivalProcess arrival = ArrivalProcess::kPoisson;
@@ -204,6 +210,12 @@ struct FleetOptions {
 
   std::size_t threads = 0;  ///< host threads across cells (0 = auto)
   obs::Hooks hooks{};       ///< metrics/shardedMetrics sinks (timelines n/a)
+
+  /// The largest per-cell share of `requests` (0 cells counts as one).
+  [[nodiscard]] std::uint64_t maxCellQuota() const noexcept {
+    const std::uint64_t n = cells > 0 ? cells : 1;
+    return requests / n + (requests % n != 0 ? 1 : 0);
+  }
 };
 
 /// Aggregate result of a fleet run.
@@ -232,6 +244,11 @@ struct FleetReport {
   /// End-to-end latency of successful requests (arrival -> completion).
   obs::HistogramSummary latency;
   util::Time makespan;  ///< slowest cell's last event
+  /// Request slots ever allocated by the busiest cell: the high-water mark
+  /// of live requests (admitted and not yet settled). Deterministic, but
+  /// kept out of toString() and `metrics` so their renders stay as they
+  /// were before slots were recycled.
+  std::uint64_t peakLiveRequests = 0;
 
   double utilizationMin = 0.0;   ///< per-blade busy / makespan, fleet-wide
   double utilizationMean = 0.0;

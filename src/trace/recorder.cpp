@@ -44,31 +44,24 @@ CellRecorder::CellRecorder(const TracePolicy& policy, std::uint64_t seed,
   }
 }
 
-CellRecorder::LiveRecord& CellRecorder::owned(Slot slot, std::uint32_t req) {
-  util::require(slot < slots_.size() && slots_[slot].owner == req,
-                "CellRecorder: stale request-trace handle");
+CellRecorder::LiveRecord& CellRecorder::owned(Slot slot, std::uint32_t seq) {
+  util::require(slot < slots_.size() && slots_[slot].owner == seq,
+                "CellRecorder: stale request-trace slot");
   return slots_[slot];
 }
 
-CellRecorder::Slot CellRecorder::onArrival(std::uint32_t req,
-                                           std::int64_t nowPs) {
-  Slot slot = 0;
-  if (free_.empty()) {
-    slot = static_cast<Slot>(slots_.size());
-    slots_.emplace_back();
-  } else {
-    slot = free_.back();
-    free_.pop_back();
-  }
+void CellRecorder::onArrival(Slot slot, std::uint32_t seq,
+                             std::int64_t nowPs) {
+  if (slot >= slots_.size()) slots_.resize(std::size_t{slot} + 1);
   LiveRecord& live = slots_[slot];
-  live.owner = req;
+  util::require(live.owner == kFree, "CellRecorder: request slot still live");
+  live.owner = seq;
   live.arrivalPs = nowPs;
-  return slot;
 }
 
-void CellRecorder::onShed(Slot slot, std::uint32_t req, Outcome outcome,
+void CellRecorder::onShed(Slot slot, std::uint32_t seq, Outcome outcome,
                           std::int64_t nowPs) {
-  LiveRecord& live = owned(slot, req);
+  LiveRecord& live = owned(slot, seq);
   MarkKind mark = MarkKind::kShedBreaker;
   switch (outcome) {
     case Outcome::kShedQueue: mark = MarkKind::kShedQueue; break;
@@ -77,13 +70,13 @@ void CellRecorder::onShed(Slot slot, std::uint32_t req, Outcome outcome,
     default: break;
   }
   live.marks.push_back(MarkRec{mark, 0, nowPs});
-  finalize(slot, live, req, outcome, nowPs, KeepReason::kShed);
+  finalize(live, seq, outcome, nowPs, KeepReason::kShed);
 }
 
-void CellRecorder::onDispatch(Slot slot, std::uint32_t req,
+void CellRecorder::onDispatch(Slot slot, std::uint32_t seq,
                               std::uint8_t attempt, bool hedge,
                               std::uint32_t blade, std::int64_t nowPs) {
-  LiveRecord& live = owned(slot, req);
+  LiveRecord& live = owned(slot, seq);
   // Open spans carry endPs = -1 until service start closes them (or the
   // terminal decision clips a losing hedge copy).
   live.spans.push_back(SpanRec{SpanKind::kAttempt, attempt, hedge,
@@ -92,12 +85,12 @@ void CellRecorder::onDispatch(Slot slot, std::uint32_t req,
       SpanRec{SpanKind::kQueue, attempt, hedge, -1, nowPs, -1});
 }
 
-void CellRecorder::onServiceStart(Slot slot, std::uint32_t req,
+void CellRecorder::onServiceStart(Slot slot, std::uint32_t seq,
                                   std::uint8_t attempt, std::uint32_t blade,
                                   std::int64_t startPs, std::int64_t stallPs,
                                   std::int64_t reloadPs, std::int64_t execPs,
                                   std::int64_t completionPs) {
-  std::vector<SpanRec>& spans = owned(slot, req).spans;
+  std::vector<SpanRec>& spans = owned(slot, seq).spans;
   if (SpanRec* queue = findSpan(spans, SpanKind::kQueue, attempt)) {
     queue->endPs = startPs;
   }
@@ -124,20 +117,20 @@ void CellRecorder::onServiceStart(Slot slot, std::uint32_t req,
   }
 }
 
-void CellRecorder::onRetryDenied(Slot slot, std::uint32_t req,
+void CellRecorder::onRetryDenied(Slot slot, std::uint32_t seq,
                                  std::int64_t nowPs) {
-  owned(slot, req).marks.push_back(MarkRec{MarkKind::kRetryDenied, 0, nowPs});
+  owned(slot, seq).marks.push_back(MarkRec{MarkKind::kRetryDenied, 0, nowPs});
 }
 
-void CellRecorder::onHedgeLaunch(Slot slot, std::uint32_t req,
+void CellRecorder::onHedgeLaunch(Slot slot, std::uint32_t seq,
                                  std::int64_t nowPs) {
-  owned(slot, req).marks.push_back(MarkRec{MarkKind::kHedgeLaunch, 0, nowPs});
+  owned(slot, seq).marks.push_back(MarkRec{MarkKind::kHedgeLaunch, 0, nowPs});
 }
 
-void CellRecorder::onDone(Slot slot, std::uint32_t req, bool hedgeWin,
+void CellRecorder::onDone(Slot slot, std::uint32_t seq, bool hedgeWin,
                           std::int64_t nowPs, std::int64_t slowThresholdPs,
                           std::int64_t deadlinePs) {
-  LiveRecord& live = owned(slot, req);
+  LiveRecord& live = owned(slot, seq);
   const std::int64_t latencyPs = nowPs - live.arrivalPs;
   if (hedgeWin) live.marks.push_back(MarkRec{MarkKind::kHedgeWin, 0, nowPs});
   KeepReason tail = KeepReason::kNone;
@@ -148,11 +141,11 @@ void CellRecorder::onDone(Slot slot, std::uint32_t req, bool hedgeWin,
   } else if (slowThresholdPs >= 0 && latencyPs >= slowThresholdPs) {
     tail = KeepReason::kSlow;
   }
-  finalize(slot, live, req, Outcome::kOk, nowPs, tail);
+  finalize(live, seq, Outcome::kOk, nowPs, tail);
 }
 
-void CellRecorder::onFailed(Slot slot, std::uint32_t req, std::int64_t nowPs) {
-  finalize(slot, owned(slot, req), req, Outcome::kFailed, nowPs,
+void CellRecorder::onFailed(Slot slot, std::uint32_t seq, std::int64_t nowPs) {
+  finalize(owned(slot, seq), seq, Outcome::kFailed, nowPs,
            KeepReason::kFailed);
 }
 
@@ -161,7 +154,7 @@ void CellRecorder::bladeMark(std::uint32_t blade, BladeMarkKind kind,
   out_.bladeMarks.push_back(BladeMark{blade, kind, nowPs});
 }
 
-void CellRecorder::finalize(Slot slot, LiveRecord& live, std::uint32_t req,
+void CellRecorder::finalize(LiveRecord& live, std::uint32_t seq,
                             Outcome outcome, std::int64_t nowPs,
                             KeepReason tailReason) {
   // Clip copies still open at the terminal decision (a queued hedge loser:
@@ -183,11 +176,11 @@ void CellRecorder::finalize(Slot slot, LiveRecord& live, std::uint32_t req,
   live.spans.push_back(SpanRec{SpanKind::kRequest, 0, false, -1,
                                live.arrivalPs, resolvedPs});
   ++out_.recorded;
-  const std::uint64_t traceId = requestTraceId(seed_, out_.cell, req);
+  const std::uint64_t traceId = requestTraceId(seed_, out_.cell, seq);
   if (tailReason != KeepReason::kNone) {
     ++out_.tailEligible;
     ++out_.keptTail;
-    keep(live, req, traceId, outcome, tailReason, nowPs);
+    keep(live, seq, traceId, outcome, tailReason, nowPs);
   } else if (sampleAll_ ||
              (sampleThreshold_ > 0 &&
               mix64(traceId ^ kSampleSalt) < sampleThreshold_)) {
@@ -195,17 +188,17 @@ void CellRecorder::finalize(Slot slot, LiveRecord& live, std::uint32_t req,
       ++out_.droppedCap;
     } else {
       ++out_.keptSampled;
-      keep(live, req, traceId, outcome, KeepReason::kSampled, nowPs);
+      keep(live, seq, traceId, outcome, KeepReason::kSampled, nowPs);
     }
   }
-  // Free the slot; its vectors keep their capacity for the next owner.
+  // Idle the record; its vectors keep their capacity for the slot's next
+  // owner.
   live.owner = kFree;
   live.spans.clear();
   live.marks.clear();
-  free_.push_back(slot);
 }
 
-void CellRecorder::keep(const LiveRecord& live, std::uint32_t req,
+void CellRecorder::keep(const LiveRecord& live, std::uint32_t seq,
                         std::uint64_t traceId, Outcome outcome,
                         KeepReason reason, std::int64_t nowPs) {
   // RequestTrace ranges are 32-bit indices into the arenas.
@@ -215,7 +208,7 @@ void CellRecorder::keep(const LiveRecord& live, std::uint32_t req,
                 "CellRecorder: kept-trace arena exceeds 2^32 entries");
   RequestTrace rt;
   rt.traceId = traceId;
-  rt.index = req;
+  rt.index = seq;
   rt.outcome = outcome;
   rt.keep = reason;
   rt.arrivalPs = live.arrivalPs;
@@ -231,7 +224,6 @@ void CellRecorder::keep(const LiveRecord& live, std::uint32_t req,
 
 CellTrace CellRecorder::take() {
   slots_.clear();
-  free_.clear();
   CellTrace out = std::move(out_);
   out_ = CellTrace{};
   out_.cell = out.cell;

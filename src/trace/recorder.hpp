@@ -3,19 +3,22 @@
 /// Per-cell request-trace recorder and the Perfetto exporter.
 ///
 /// The fleet simulator drives one CellRecorder per cell from its event
-/// loop. A request's live record sits in a per-cell slot pool: onArrival
-/// hands out a slot (reusing a freed one when it can) and returns its
-/// handle, every later call names the slot and the owning request, and the
-/// terminal decision (onShed / onDone / onFailed) either appends the record
-/// to the kept arenas (see request.hpp) or discards it, then frees the slot.
-/// Slots keep their span and mark capacity across reuse, so the pool grows
-/// with the in-flight population, not the request count, and a steady-state
-/// request allocates nothing.
+/// loop. A request's live record is keyed by the fleet's request slot: the
+/// fleet owns the one slot pool (see fleet.cpp) and the recorder mirrors it,
+/// growing its record table to the highest slot it is handed. onArrival
+/// opens the record in the slot, every later call names the slot and the
+/// request's per-cell arrival sequence, and the terminal decision (onShed /
+/// onDone / onFailed) either appends the record to the kept arenas (see
+/// request.hpp) or discards it, then marks the slot idle. Records keep
+/// their span and mark capacity across reuse, so the table grows with the
+/// in-flight population, not the request count, and a steady-state request
+/// allocates nothing.
 ///
-/// Handle lifetime: a handle is valid from onArrival up to and including
-/// the request's terminal call, and no call may follow it. Every call
-/// checks that the slot is still owned by the request it names, so a stale
-/// handle throws instead of writing into another request's record.
+/// Slot lifetime: a slot names a request from onArrival up to and including
+/// its terminal call, and no call may follow it. The fleet hands the slot
+/// out again only after that. Every call checks that the slot is owned by
+/// the sequence it names, so a stale or mis-keyed call throws instead of
+/// writing into another request's record.
 ///
 /// Everything is keyed off simulated time and the deterministic trace id,
 /// so the recorder is a pure observer: it consumes no RNG draws and the
@@ -37,44 +40,45 @@ namespace prtr::trace {
 
 class CellRecorder {
  public:
-  /// Handle of a live record: an index into the recorder's slot pool.
+  /// The fleet's request slot a live record is keyed by.
   using Slot = std::uint32_t;
 
   CellRecorder(const TracePolicy& policy, std::uint64_t seed,
                std::size_t cellIndex);
 
-  /// A fresh request exists; opens its live record (root span start) and
-  /// returns the handle every later call for `req` must pass.
-  [[nodiscard]] Slot onArrival(std::uint32_t req, std::int64_t nowPs);
+  /// A fresh request with arrival sequence `seq` now occupies `slot`;
+  /// opens its live record (root span start). Throws when the slot is
+  /// still live.
+  void onArrival(Slot slot, std::uint32_t seq, std::int64_t nowPs);
 
   /// Terminal: shed at admission. `outcome` must be one of the kShed*.
-  void onShed(Slot slot, std::uint32_t req, Outcome outcome,
+  void onShed(Slot slot, std::uint32_t seq, Outcome outcome,
               std::int64_t nowPs);
 
   /// A copy was dispatched (queued or started): opens attempt + queue.
-  void onDispatch(Slot slot, std::uint32_t req, std::uint8_t attempt,
+  void onDispatch(Slot slot, std::uint32_t seq, std::uint8_t attempt,
                   bool hedge, std::uint32_t blade, std::int64_t nowPs);
 
   /// Service begins; the completion time is already decided by the DES, so
   /// the whole service breakdown is recorded at once. Zero-length
   /// components (no stall, resident persona, faulted execute) are omitted.
-  void onServiceStart(Slot slot, std::uint32_t req, std::uint8_t attempt,
+  void onServiceStart(Slot slot, std::uint32_t seq, std::uint8_t attempt,
                       std::uint32_t blade, std::int64_t startPs,
                       std::int64_t stallPs, std::int64_t reloadPs,
                       std::int64_t execPs, std::int64_t completionPs);
 
-  void onRetryDenied(Slot slot, std::uint32_t req, std::int64_t nowPs);
-  void onHedgeLaunch(Slot slot, std::uint32_t req, std::int64_t nowPs);
+  void onRetryDenied(Slot slot, std::uint32_t seq, std::int64_t nowPs);
+  void onHedgeLaunch(Slot slot, std::uint32_t seq, std::int64_t nowPs);
 
   /// Terminal: completed. `slowThresholdPs` < 0 means the slow quantile is
   /// not yet trusted; `deadlinePs` is the SLO latency target. A copy still
   /// queued here (a hedge loser) is clipped at `nowPs` with a hedge:cancel
   /// mark; the fleet later discards it at dequeue without a recorder call.
-  void onDone(Slot slot, std::uint32_t req, bool hedgeWin, std::int64_t nowPs,
+  void onDone(Slot slot, std::uint32_t seq, bool hedgeWin, std::int64_t nowPs,
               std::int64_t slowThresholdPs, std::int64_t deadlinePs);
 
   /// Terminal: attempts exhausted or retry budget empty.
-  void onFailed(Slot slot, std::uint32_t req, std::int64_t nowPs);
+  void onFailed(Slot slot, std::uint32_t seq, std::int64_t nowPs);
 
   /// Breaker / recovery-ladder transition on a blade lane.
   void bladeMark(std::uint32_t blade, BladeMarkKind kind, std::int64_t nowPs);
@@ -85,7 +89,9 @@ class CellRecorder {
  private:
   static constexpr std::uint32_t kFree = 0xFFFF'FFFF;
 
-  /// A pooled live record; `owner` is the request index, kFree when idle.
+  /// A live record; `owner` is the request's arrival sequence, kFree when
+  /// idle. Sequences stay below kFree: fleet::validate caps a cell at
+  /// 2^32 - 1 requests, so the largest sequence is 2^32 - 2.
   struct LiveRecord {
     std::uint32_t owner = kFree;
     std::int64_t arrivalPs = 0;
@@ -93,18 +99,17 @@ class CellRecorder {
     std::vector<MarkRec> marks;
   };
 
-  LiveRecord& owned(Slot slot, std::uint32_t req);
-  void finalize(Slot slot, LiveRecord& live, std::uint32_t req,
-                Outcome outcome, std::int64_t nowPs, KeepReason tailReason);
-  void keep(const LiveRecord& live, std::uint32_t req, std::uint64_t traceId,
+  LiveRecord& owned(Slot slot, std::uint32_t seq);
+  void finalize(LiveRecord& live, std::uint32_t seq, Outcome outcome,
+                std::int64_t nowPs, KeepReason tailReason);
+  void keep(const LiveRecord& live, std::uint32_t seq, std::uint64_t traceId,
             Outcome outcome, KeepReason reason, std::int64_t nowPs);
 
   TracePolicy policy_;
   std::uint64_t seed_ = 0;
   bool sampleAll_ = false;
   std::uint64_t sampleThreshold_ = 0;
-  std::vector<LiveRecord> slots_;
-  std::vector<Slot> free_;  ///< idle slots, reused last-freed first
+  std::vector<LiveRecord> slots_;  ///< indexed by the fleet's slot
   CellTrace out_;
 };
 

@@ -807,6 +807,30 @@ TEST(FleetRules, MaxAttemptsIsRangeCheckedBeforeTheNarrowingCast) {
   EXPECT_EQ(sink.codes(), (std::vector<std::string>{"FL007"}));
 }
 
+TEST(FleetRules, PerCellQuotaIsCheckedBeforeTheSequenceNarrows) {
+  const auto lint = [](const std::string& text) {
+    std::istringstream in{text};
+    return analyze::lintFleetSpec(analyze::parseFleetSpec(in)).codes();
+  };
+  // 2^32 - 1 requests per cell is the largest quota the 32-bit per-cell
+  // sequence holds; one more request puts a cell at 2^32.
+  EXPECT_TRUE(lint("cells 2\nrequests 8589934590\n").empty());
+  EXPECT_EQ(lint("cells 2\nrequests 8589934591\n"),
+            (std::vector<std::string>{"FL002"}));
+  EXPECT_EQ(lint("cells 1\nrequests 18446744073709551615\n"),
+            (std::vector<std::string>{"FL002"}));
+  EXPECT_EQ(lint("requests 0\n"), (std::vector<std::string>{"FL002"}));
+
+  // The typed path bench_fleet takes rejects the same spec.
+  std::istringstream huge{"cells 2\nrequests 8589934591\n"};
+  DiagnosticSink sink;
+  analyze::checkFleetOptions(
+      analyze::fleetSpecToOptions(analyze::parseFleetSpec(huge)), sink);
+  EXPECT_EQ(sink.codes(), (std::vector<std::string>{"FL002"}));
+  EXPECT_NE(sink.toText().find("per cell"), std::string::npos)
+      << sink.toText();
+}
+
 TEST(SpecParsing, FloorplanSpecRoundtripsAndLints) {
   std::istringstream in{
       "# comment\n"

@@ -1,14 +1,18 @@
 // prtr::fleet contract tests: calibration sanity, byte-identical output at
 // any thread count, the retry-budget cap, circuit-breaker open/half-open/
 // close cycling under a hostile fault plan, load shedding under overload,
-// hedged requests, and request accounting (admitted = completed + failed).
+// hedged requests, request accounting (admitted = completed + failed), and
+// recycled request slots (memory tracks in-flight requests, and reuse never
+// shows in a report or a trace).
 #include <gtest/gtest.h>
 
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "analyze/checks_fleet.hpp"
 #include "fleet/fleet.hpp"
+#include "obs/trace_export.hpp"
 #include "tasks/hwfunction.hpp"
 #include "util/error.hpp"
 
@@ -45,6 +49,16 @@ fault::Plan hostilePlan() {
   plan.transferTimeoutRate = 0.10;
   plan.linkStallRate = 0.05;
   return plan;
+}
+
+/// FNV-1a over a rendered output, for digests pinned across code changes.
+std::uint64_t fnv1a64(const std::string& bytes) {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  for (const char c : bytes) {
+    hash ^= static_cast<unsigned char>(c);
+    hash *= 0x100000001b3ULL;
+  }
+  return hash;
 }
 
 TEST(FleetCalibrationTest, ProfilesEveryFunctionWithPositiveCosts) {
@@ -205,6 +219,110 @@ TEST(FleetOptionsTest, ValidationRejectsAttemptBudgetsTheCounterCannotHold) {
       util::DomainError);
   options.retry.maxAttempts = fleet::RetryPolicy::kMaxAttempts;
   EXPECT_NO_THROW((void)runFleet(paperRegistry(), sharedProfile(), options));
+}
+
+TEST(FleetOptionsTest, ValidationRejectsPerCellQuotasTheSequenceCannotHold) {
+  fleet::FleetOptions options = smallFleet();
+  // Four cells of 2^32 - 1 requests fit the 32-bit per-cell sequence; one
+  // more request makes some cell's quota 2^32. Validation runs before any
+  // simulation, so neither call simulates billions of requests: the quota
+  // at the bound passes, and an invalid offered load checked after it
+  // stops the run.
+  options.cells = 4;
+  options.requests = 4 * fleet::FleetOptions::kMaxRequestsPerCell + 1;
+  EXPECT_EQ(options.maxCellQuota(),
+            fleet::FleetOptions::kMaxRequestsPerCell + 1);
+  EXPECT_THROW(
+      (void)runFleet(paperRegistry(), sharedProfile(), options),
+      util::DomainError);
+  options.requests = 4 * fleet::FleetOptions::kMaxRequestsPerCell;
+  EXPECT_EQ(options.maxCellQuota(), fleet::FleetOptions::kMaxRequestsPerCell);
+  options.offeredLoad = 0.0;
+  try {
+    (void)runFleet(paperRegistry(), sharedProfile(), options);
+    FAIL() << "a zero offered load must be rejected";
+  } catch (const util::DomainError& e) {
+    EXPECT_EQ(std::string(e.what()).find("per cell"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(FleetTest, RequestSlotsTrackInFlightNotTotal) {
+  fleet::FleetOptions options = smallFleet();
+  const fleet::FleetReport small =
+      runFleet(paperRegistry(), sharedProfile(), options);
+  options.requests = 200'000;
+  const fleet::FleetReport large =
+      runFleet(paperRegistry(), sharedProfile(), options);
+  ASSERT_EQ(large.offered, 200'000u);
+  EXPECT_GT(small.peakLiveRequests, 0u);
+  // Ten times the requests at the same load: the slot high-water mark
+  // follows the in-flight population, not the total.
+  EXPECT_LE(large.peakLiveRequests, 2 * small.peakLiveRequests);
+  EXPECT_LT(large.peakLiveRequests, options.maxCellQuota() / 100);
+}
+
+TEST(FleetTest, SlotReuseNeverLeaksIntoOutputs) {
+  // Every path that holds a slot past its terminal decision: hedge losers
+  // still queued or in service, pending retry and hedge timers, sheds, and
+  // failures under a degraded chaos plan, all traced.
+  fleet::FleetOptions options = smallFleet();
+  options.degradedFraction = 0.25;
+  options.degradedFaults = hostilePlan();
+  options.faults.linkStallRate = 0.05;
+  options.faults.stallDuration = util::Time::milliseconds(2);
+  options.retry.maxAttempts = 4;
+  options.hedge.enabled = true;
+  options.hedge.minSamples = 200;
+  options.hedge.budgetFraction = 0.10;
+  options.offeredLoad = 0.9;
+  options.tracing.enabled = true;
+  options.tracing.sampleRate = 1.0;
+  options.tracing.maxSampledPerCell = options.requests;
+
+  obs::ChromeTrace serialTrace;
+  options.threads = 1;
+  options.hooks.trace = &serialTrace;
+  fleet::FleetReport serial;
+  ASSERT_NO_THROW(serial = runFleet(paperRegistry(), sharedProfile(), options));
+
+  obs::ChromeTrace pooledTrace;
+  options.threads = 4;
+  options.hooks.trace = &pooledTrace;
+  fleet::FleetReport pooled;
+  ASSERT_NO_THROW(pooled = runFleet(paperRegistry(), sharedProfile(), options));
+
+  // The run exercised every slot-holding path and recycled slots.
+  EXPECT_EQ(serial.hedges, 684u);
+  EXPECT_EQ(serial.hedgeWins, 473u);
+  EXPECT_EQ(serial.retries, 239u);
+  EXPECT_EQ(serial.failed, 2u);
+  EXPECT_EQ(serial.shed, 3326u);
+  EXPECT_LT(serial.peakLiveRequests, options.maxCellQuota() / 10);
+  EXPECT_EQ(serial.tracesRecorded, serial.offered);
+  EXPECT_EQ(serial.tracesKept, serial.offered);
+
+  EXPECT_EQ(serial.toString() + serial.metrics.toString(),
+            pooled.toString() + pooled.metrics.toString());
+  EXPECT_EQ(serial.peakLiveRequests, pooled.peakLiveRequests);
+  EXPECT_EQ(serialTrace.toJson(), pooledTrace.toJson());
+  // Both digests and the counts above were recorded with an append-only
+  // request vector (one slot per request, never reused): recycling slots
+  // must reproduce every byte.
+  EXPECT_EQ(fnv1a64(serial.toString() + serial.metrics.toString()),
+            0x53345814690946c4ULL);
+  EXPECT_EQ(fnv1a64(serialTrace.toJson()), 0x91e86cd3b0b58481ULL);
+  // Kept traces carry arrival sequences, not slots: each cell's indices
+  // are exactly 0..quota-1.
+  for (const trace::CellTrace& cell : serial.traces.cells) {
+    std::vector<bool> seen(options.maxCellQuota(), false);
+    for (const trace::RequestTrace& rt : cell.kept) {
+      ASSERT_LT(rt.index, seen.size());
+      EXPECT_FALSE(seen[rt.index]) << "sequence " << rt.index << " twice";
+      seen[rt.index] = true;
+    }
+    EXPECT_EQ(cell.kept.size(), options.maxCellQuota());
+  }
 }
 
 TEST(FleetTraceTest, TraceArrivalsReplayDeterministically) {

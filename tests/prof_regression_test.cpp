@@ -109,6 +109,30 @@ TEST(RegressionCompare, WallClockDriftIsInformationalUnlessGated) {
   EXPECT_TRUE(prof::compare(baseline, current, gated).pass);
 }
 
+TEST(RegressionCompare, HostMemoryScalarsAreInformational) {
+  EXPECT_TRUE(prof::ComparePolicy::isWallClockScalar("flat_peak_rss_ratio"));
+  EXPECT_TRUE(prof::ComparePolicy::isWallClockScalar("peak_rss_mb"));
+  // A simulated high-water mark is not host memory: it gates exactly.
+  EXPECT_FALSE(
+      prof::ComparePolicy::isWallClockScalar("flat_peak_live_requests"));
+
+  prof::BenchDoc baseline;
+  baseline.bench = "fleet";
+  baseline.scalars = {{"flat_peak_rss_ratio", 1.01},
+                      {"flat_peak_live_requests", 95.0}};
+  prof::BenchDoc current = baseline;
+  current.scalars[0].second = 1.17;  // another machine's allocator
+  const prof::CompareResult result = prof::compare(baseline, current);
+  EXPECT_TRUE(result.pass);
+  ASSERT_EQ(result.scalars.size(), 2u);
+  EXPECT_EQ(result.scalars[0].kind, prof::DeltaKind::kInfo);
+  EXPECT_TRUE(result.scalars[0].wallClock);
+  EXPECT_EQ(result.scalars[1].kind, prof::DeltaKind::kMatch);
+
+  current.scalars[1].second = 96.0;
+  EXPECT_FALSE(prof::compare(baseline, current).pass);
+}
+
 TEST(RegressionCompare, MissingScalarFailsAndNewScalarIsInformational) {
   prof::BenchDoc baseline;
   baseline.bench = "demo";

@@ -1,7 +1,8 @@
 // trace::CellRecorder driven directly, without the fleet: a shed, a
 // failure after a retry whose budget was denied, a hedge win that clips
-// the still-queued primary at the terminal decision, and the slot pool
-// (a recycled slot starts empty; a stale handle trips the owner check).
+// the still-queued primary at the terminal decision, and slot reuse (a
+// recycled slot starts empty; a stale or mis-keyed call trips the owner
+// check).
 #include <gtest/gtest.h>
 
 #include <string>
@@ -59,7 +60,8 @@ std::string traceDiagnostics(trace::CellTrace cell) {
 
 TEST(CellRecorderTest, ShedKeepsOneRootSpanAndOneMark) {
   CellRecorder rec{keepEverything(), 7, 0};
-  const CellRecorder::Slot slot = rec.onArrival(3, 1'000);
+  const CellRecorder::Slot slot = 4;
+  rec.onArrival(slot, 3, 1'000);
   rec.onShed(slot, 3, trace::Outcome::kShedRateLimit, 1'000);
   const trace::CellTrace cell = rec.take();
 
@@ -82,7 +84,8 @@ TEST(CellRecorderTest, ShedKeepsOneRootSpanAndOneMark) {
 
 TEST(CellRecorderTest, FailureAfterADeniedRetryKeepsBothAttempts) {
   CellRecorder rec{keepEverything(), 7, 1};
-  const CellRecorder::Slot slot = rec.onArrival(0, 0);
+  const CellRecorder::Slot slot = 0;
+  rec.onArrival(slot, 0, 0);
   // Attempt 1 queues on blade 2, then faults during its persona reload.
   rec.onDispatch(slot, 0, 1, false, 2, 10);
   rec.onServiceStart(slot, 0, 1, 2, 20, 0, 5, 0, 25);
@@ -120,7 +123,8 @@ TEST(CellRecorderTest, FailureAfterADeniedRetryKeepsBothAttempts) {
 
 TEST(CellRecorderTest, HedgeWinClipsTheQueuedLoserAtTheTerminalDecision) {
   CellRecorder rec{keepEverything(), 7, 2};
-  const CellRecorder::Slot slot = rec.onArrival(5, 0);
+  const CellRecorder::Slot slot = 1;
+  rec.onArrival(slot, 5, 0);
   // The primary queues behind other work on blade 0 and never starts.
   rec.onDispatch(slot, 5, 1, false, 0, 0);
   // The hedge goes to idle blade 1 and wins.
@@ -154,24 +158,27 @@ TEST(CellRecorderTest, HedgeWinClipsTheQueuedLoserAtTheTerminalDecision) {
 
 TEST(CellRecorderTest, RecycledSlotStartsEmptyAndStaleHandlesThrow) {
   CellRecorder rec{keepEverything(), 7, 3};
-  const CellRecorder::Slot first = rec.onArrival(0, 0);
-  rec.onDispatch(first, 0, 1, false, 0, 0);
-  rec.onHedgeLaunch(first, 0, 5);
-  rec.onServiceStart(first, 0, 1, 0, 0, 0, 4, 6, 10);
-  rec.onDone(first, 0, false, 10, -1, 0);
+  const CellRecorder::Slot slot = 0;
+  rec.onArrival(slot, 0, 0);
+  // A live slot cannot be handed out twice.
+  EXPECT_THROW(rec.onArrival(slot, 1, 0), util::DomainError);
+  rec.onDispatch(slot, 0, 1, false, 0, 0);
+  rec.onHedgeLaunch(slot, 0, 5);
+  rec.onServiceStart(slot, 0, 1, 0, 0, 0, 4, 6, 10);
+  rec.onDone(slot, 0, false, 10, -1, 0);
 
-  // The terminal call freed the slot; the next arrival reuses it.
-  const CellRecorder::Slot second = rec.onArrival(1, 20);
-  EXPECT_EQ(second, first);
+  // The terminal call idled the record; the fleet reuses the slot for
+  // request 1.
+  rec.onArrival(slot, 1, 20);
   // A call for the finished request through the recycled slot must not
   // write into request 1's record.
-  EXPECT_THROW(rec.onDispatch(first, 0, 2, false, 1, 20), util::DomainError);
-  EXPECT_THROW(rec.onFailed(second, 0, 20), util::DomainError);
-  // An out-of-range handle is stale too.
-  EXPECT_THROW(rec.onHedgeLaunch(second + 1, 1, 20), util::DomainError);
-  rec.onShed(second, 1, trace::Outcome::kShedQueue, 20);
-  // Once freed, even the last owner's handle is stale.
-  EXPECT_THROW(rec.onRetryDenied(second, 1, 21), util::DomainError);
+  EXPECT_THROW(rec.onDispatch(slot, 0, 2, false, 1, 20), util::DomainError);
+  EXPECT_THROW(rec.onFailed(slot, 0, 20), util::DomainError);
+  // A slot the recorder was never handed is stale too.
+  EXPECT_THROW(rec.onHedgeLaunch(slot + 1, 1, 20), util::DomainError);
+  rec.onShed(slot, 1, trace::Outcome::kShedQueue, 20);
+  // Once idle, even the last owner's sequence is stale.
+  EXPECT_THROW(rec.onRetryDenied(slot, 1, 21), util::DomainError);
 
   const trace::CellTrace cell = rec.take();
   ASSERT_EQ(cell.kept.size(), 2u);
