@@ -5,8 +5,6 @@
 // chaos run recovers (no unrecovered scenarios), that retries stay inside
 // the policy budget, and that the pooled sweep is byte-identical to the
 // serial one — chaos must not cost determinism.
-//
-// Usage: bench_chaos [--threads N] [--json FILE]
 #include <array>
 #include <cstdint>
 #include <iostream>
@@ -14,6 +12,7 @@
 #include <string_view>
 #include <vector>
 
+#include "bench/figures.hpp"
 #include "config/recovery.hpp"
 #include "exec/pool.hpp"
 #include "obs/bench_io.hpp"
@@ -114,13 +113,10 @@ std::string sweepRender(std::size_t threads) {
   return joined;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  obs::BenchReport report{"chaos", argc, argv};
-  const std::size_t n = report.threads();
-  exec::Pool::setGlobalThreads(n);
-  gChaosSeed = report.seedOr(kChaosSeed);
+/// The whole gate: the fault ladder, the identity checks and the report.
+int chaos(const bench::Options& options) {
+  obs::BenchReport report{"chaos", options};
+  const std::size_t n = options.threads();
 
   std::cout << "=== Chaos: dual-PRR Figure-9 scenario under fault injection"
                " (seed "
@@ -268,21 +264,39 @@ int main(int argc, char** argv) {
   // timeline hook attached: the capture shows the recovery lane interleaved
   // with ICAP traffic, and prtr-verify checks it against the TL0xx
   // invariants (including the recovery pairing rule TL007).
-  if (report.traceRequested()) {
+  if (options.traceRequested()) {
     obs::ChromeTrace trace;
-    runtime::ScenarioOptions options = chaosOptions(1e-4, /*recovery=*/true);
-    options.hooks.trace = &trace;
-    options.verify = true;
+    runtime::ScenarioOptions scenario = chaosOptions(1e-4, /*recovery=*/true);
+    scenario.hooks.trace = &trace;
+    scenario.verify = true;
     const auto registry = tasks::makePaperFunctions();
     const auto workload =
         tasks::makeRoundRobinWorkload(registry, 24, util::Bytes{1'000'000});
     const runtime::ScenarioResult traced =
-        runtime::runScenario(registry, workload, options);
-    trace.writeFile(report.tracePath());
+        runtime::runScenario(registry, workload, scenario);
+    trace.writeFile(options.tracePath());
     report.scalar("traced_speedup", traced.speedup);
-    std::cout << "trace written to " << report.tracePath() << '\n';
+    std::cout << "trace written to " << options.tracePath() << '\n';
   }
   const bool ok =
       identical && healthyIdentical && unrecovered == 0 && ladderConsistent;
   return ok ? report.finish() : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  bench::Options options;
+  try {
+    options = bench::Options::parse("bench_chaos", argc, argv);
+    if (options.helpRequestedAndHandled()) return 0;
+    options.requireNoRest();
+  } catch (const util::DomainError& error) {
+    return bench::usageError(error.what(),
+                             bench::Options::usage("bench_chaos"));
+  }
+  exec::Pool::setGlobalThreads(options.threads());
+  gChaosSeed = options.seedOr(kChaosSeed);
+  return bench::profiled(options, "chaos",
+                         [&](prof::Profiler*) { return chaos(options); });
 }

@@ -15,9 +15,6 @@
 // and fails the run unless the process peak RSS stays within 1.2x of its
 // peak before that point: request slots are recycled, so fleet memory
 // tracks in-flight requests, not the request count.
-//
-// Usage: bench_fleet [--requests N] [--spec FILE] [--threads N] [--seed N]
-//                    [--json FILE] [--trace FILE]
 #include <sys/resource.h>
 
 #include <algorithm>
@@ -29,6 +26,7 @@
 #include <vector>
 
 #include "analyze/checks_fleet.hpp"
+#include "bench/figures.hpp"
 #include "exec/pool.hpp"
 #include "fleet/fleet.hpp"
 #include "obs/bench_io.hpp"
@@ -139,31 +137,11 @@ void pointScalars(obs::BenchReport& report, const std::string& prefix,
   report.scalar(prefix + "_utilization_mean", r.utilizationMean);
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  obs::BenchReport report{"fleet", argc, argv};
-  const std::size_t n = report.threads();
-  exec::Pool::setGlobalThreads(n);
-
-  fleet::FleetOptions options = baseOptions();
-  std::uint64_t requests = kDefaultRequests;
-  const auto& rest = report.options().rest();
-  for (std::size_t i = 0; i < rest.size(); ++i) {
-    if (rest[i] == "--requests" && i + 1 < rest.size()) {
-      requests = std::stoull(rest[++i]);
-    } else if (rest[i] == "--spec" && i + 1 < rest.size()) {
-      std::ifstream in{rest[++i]};
-      if (!in) {
-        std::cerr << "bench_fleet: cannot open spec '" << rest[i] << "'\n";
-        return 2;
-      }
-      options = analyze::fleetSpecToOptions(analyze::parseFleetSpec(in));
-      requests = options.requests;
-    }
-  }
-  options.requests = requests;
-  options.seed = report.seedOr(options.seed);
+/// The whole gate: lint, the three points at 1 and N threads, the trace
+/// export, the flat-memory point and the report.
+int fleetGate(const bench::Options& flags, fleet::FleetOptions options) {
+  obs::BenchReport report{"fleet", flags};
+  const std::size_t n = flags.threads();
 
   // Refuse configurations the linter rejects before a million-request run,
   // then the flat point's 100x.
@@ -286,7 +264,7 @@ int main(int argc, char** argv) {
   // With --trace, a reduced surge run exports its kept request traces
   // (full-length surge keeps every rate-limited shed — far too many
   // spans for a reviewable artifact).
-  if (report.traceRequested()) {
+  if (flags.traceRequested()) {
     obs::ChromeTrace trace;
     fleet::FleetOptions exportOpts = surge;
     exportOpts.threads = n;
@@ -294,10 +272,10 @@ int main(int argc, char** argv) {
     exportOpts.hooks.trace = &trace;
     const fleet::FleetReport exported =
         runFleet(registry, profile, exportOpts);
-    trace.writeFile(report.tracePath());
+    trace.writeFile(flags.tracePath());
     report.scalar("trace_export_kept", exported.tracesKept);
     std::cout << "trace: " << exported.tracesKept
-              << " kept request(s) written to " << report.tracePath()
+              << " kept request(s) written to " << flags.tracePath()
               << '\n';
   }
 
@@ -357,4 +335,50 @@ int main(int argc, char** argv) {
       surged.shedRateLimited > 0 && surged.tailRetention() == 1.0 &&
       rssRatio <= kFlatRssBound;
   return ok ? report.finish() : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  const std::string usage = bench::Options::usage(
+      "bench_fleet",
+      "  --requests <n>     requests per point (default 1000000; the flat\n"
+      "                     point runs 100x)\n"
+      "  --spec <path>      drive the fleet from a .fleet spec\n");
+  bench::Options flags;
+  fleet::FleetOptions options = baseOptions();
+  try {
+    flags = bench::Options::parse("bench_fleet", argc, argv);
+    if (flags.helpRequested()) {
+      std::cout << usage;
+      return 0;
+    }
+    // --spec replaces the whole configuration, --requests and --seed
+    // override it; a later flag wins.
+    const auto& rest = flags.rest();
+    for (std::size_t i = 0; i < rest.size(); ++i) {
+      const std::string& arg = rest[i];
+      util::require(arg == "--requests" || arg == "--spec",
+                    "bench_fleet: unknown argument '" + arg + "'");
+      util::require(i + 1 < rest.size(),
+                    "bench_fleet: " + arg + " requires a value");
+      const std::string& value = rest[++i];
+      if (arg == "--requests") {
+        options.requests = bench::parseUnsigned("bench_fleet", arg, value);
+        continue;
+      }
+      std::ifstream in{value};
+      util::require(in.good(),
+                    "bench_fleet: cannot open spec '" + value + "'");
+      options = analyze::fleetSpecToOptions(analyze::parseFleetSpec(in));
+    }
+    options.seed = flags.seedOr(options.seed);
+  } catch (const util::DomainError& error) {
+    return bench::usageError(error.what(), usage);
+  }
+  exec::Pool::setGlobalThreads(flags.threads());
+  return bench::profiled(flags, "fleet", [&](prof::Profiler* profiler) {
+    options.hooks.profiler = profiler;
+    return fleetGate(flags, options);
+  });
 }

@@ -3,6 +3,7 @@
 // and a full PRTR scenario end to end.
 #include <benchmark/benchmark.h>
 
+#include <iostream>
 #include <string>
 #include <vector>
 
@@ -15,6 +16,7 @@
 #include "sim/simulator.hpp"
 #include "tasks/kernels.hpp"
 #include "tasks/workload.hpp"
+#include "util/error.hpp"
 
 namespace {
 
@@ -207,12 +209,22 @@ BENCHMARK(BM_PrtrScenarioEndToEnd)->Arg(16)->Arg(64);
 // google-benchmark has its own flag vocabulary; parse the shared
 // bench::Options surface first, translate `--json <path>` into
 // --benchmark_format/--benchmark_out, and forward only what the shared
-// parser did not recognise, so every bench binary shares one CLI surface.
+// parser did not recognise. --trace, --profile and --seed have nothing to
+// act on here, so they are usage errors, as are unknown gbench flags.
 int main(int argc, char** argv) {
-  const auto options = bench::Options::parse("bench_micro", argc, argv);
-  if (options.helpRequestedAndHandled(
-          "  (unrecognised arguments are forwarded to google-benchmark)")) {
-    return 0;
+  const std::string usage = bench::Options::usage(
+      "bench_micro",
+      "  (unrecognised arguments are forwarded to google-benchmark)");
+  bench::Options options;
+  try {
+    options = bench::Options::parse("bench_micro", argc, argv);
+    if (options.helpRequested()) {
+      std::cout << usage;
+      return 0;
+    }
+    options.reject({"--trace", "--profile", "--seed"}, "bench_micro");
+  } catch (const util::DomainError& error) {
+    return bench::usageError(error.what(), usage);
   }
   std::vector<std::string> args;
   args.emplace_back(argv[0]);
@@ -228,7 +240,8 @@ int main(int argc, char** argv) {
   int rawArgc = static_cast<int>(rawArgs.size());
   benchmark::Initialize(&rawArgc, rawArgs.data());
   if (benchmark::ReportUnrecognizedArguments(rawArgc, rawArgs.data())) {
-    return 1;
+    std::cerr << '\n' << usage;
+    return 2;
   }
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();

@@ -9,16 +9,13 @@
 // shard per pool worker), so the byte-identity check covers the merged
 // metrics snapshot too, and the four-participant run feeds the
 // parallel-efficiency scalars CI gates on multi-core runners.
-//
-// Usage: bench_sweep [--threads N] [--json FILE] [--trace FILE]
-//                    [--profile FILE]
 #include <chrono>
-#include <fstream>
 #include <iostream>
 #include <utility>
 #include <vector>
 
 #include "analysis/figures.hpp"
+#include "bench/figures.hpp"
 #include "exec/artifact_cache.hpp"
 #include "exec/pool.hpp"
 #include "hprc/chassis.hpp"
@@ -41,8 +38,8 @@ double timedMs(Fn&& fn) {
   return std::chrono::duration<double, std::milli>(stop - start).count();
 }
 
-/// The Figure-9 sweep this bench times (smaller than bench_fig9b's grid so
-/// the CI smoke run stays fast, but large enough to amortize pool startup).
+/// The Figure-9 sweep this bench times (smaller than the fig9b figure's grid
+/// so the CI smoke run stays fast, but large enough to amortize pool startup).
 std::string runFig9(std::size_t threads, exec::ArtifactCache* artifacts,
                     obs::ShardedRegistry* metrics = nullptr,
                     obs::ChromeTrace* trace = nullptr) {
@@ -89,17 +86,10 @@ std::string runChassisSweep(std::size_t threads,
   return report.toString() + report.metrics.toString();
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  obs::BenchReport report{"sweep", argc, argv};
-  const std::size_t n = report.threads();
-  exec::Pool::setGlobalThreads(n);
-
-  // With --profile, time the pool's task execution, steals, and queue depth
-  // across every sweep below (the cache seams are covered by bench_fig9*).
-  prof::Profiler profiler;
-  if (report.profileRequested()) exec::Pool::global().setProfiler(&profiler);
+/// The whole gate: every sweep, the identity checks and the report.
+int sweep(const bench::Options& options) {
+  obs::BenchReport report{"sweep", options};
+  const std::size_t n = options.threads();
 
   // Thread ladder: 1, 2, 4, N (deduplicated, capped at N).
   std::vector<std::size_t> ladder{1};
@@ -162,10 +152,10 @@ int main(int argc, char** argv) {
   // --- With --trace, one more run at the requested width writes the merged
   // Chrome trace: CI compares the --threads 1 and --threads 4 trace files
   // byte for byte (simulated time is schedule-independent).
-  if (report.traceRequested()) {
+  if (options.traceRequested()) {
     obs::ChromeTrace trace;
     identical = identical && runFig9(n, nullptr, nullptr, &trace) == fig9Ref;
-    trace.writeFile(report.tracePath());
+    trace.writeFile(options.tracePath());
   }
 
   // --- Figure 5 and chassis: serial vs N threads, byte identity.
@@ -227,12 +217,23 @@ int main(int argc, char** argv) {
   report.metrics(exec::Pool::global().metricsSnapshot());
   report.metrics(cache.metricsSnapshot());
 
-  if (report.profileRequested()) {
-    exec::Pool::global().setProfiler(nullptr);
-    std::ofstream out{report.profilePath()};
-    util::require(out.good(), "bench_sweep: cannot open " +
-                                  report.profilePath() + " for writing");
-    out << profiler.snapshot().toJson() << '\n';
-  }
   return identical ? report.finish() : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  bench::Options options;
+  try {
+    options = bench::Options::parse("bench_sweep", argc, argv);
+    if (options.helpRequestedAndHandled()) return 0;
+    options.requireNoRest();
+    options.reject({"--seed"}, "bench_sweep");
+  } catch (const util::DomainError& error) {
+    return bench::usageError(error.what(),
+                             bench::Options::usage("bench_sweep"));
+  }
+  exec::Pool::setGlobalThreads(options.threads());
+  return bench::profiled(options, "sweep",
+                         [&](prof::Profiler*) { return sweep(options); });
 }

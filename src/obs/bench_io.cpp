@@ -1,20 +1,11 @@
 #include "obs/bench_io.hpp"
 
-#include <cstdlib>
 #include <fstream>
 
 #include "util/error.hpp"
 #include "util/json.hpp"
 
 namespace prtr::obs {
-
-BenchReport::BenchReport(std::string name, int argc, const char* const* argv)
-    : name_(std::move(name)),
-      options_(bench::Options::parse(name_, argc, argv)) {
-  // Uniform --help across every bench binary: print the shared usage block
-  // and stop before the bench does any work.
-  if (options_.helpRequestedAndHandled()) std::exit(0);
-}
 
 void BenchReport::scalar(const std::string& name, double value) {
   scalars_.emplace_back(name, value);
@@ -41,10 +32,10 @@ void BenchReport::metrics(MetricsSnapshot&& snapshot) {
 }
 
 int BenchReport::finish() const {
-  if (!jsonRequested()) return 0;
-  std::ofstream file{jsonPath()};
+  if (!options_.jsonRequested()) return 0;
+  std::ofstream file{options_.jsonPath()};
   if (!file) {
-    throw util::Error{"BenchReport: cannot open " + jsonPath() +
+    throw util::Error{"BenchReport: cannot open " + options_.jsonPath() +
                       " for writing"};
   }
   util::json::Writer w{file};

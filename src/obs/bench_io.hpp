@@ -1,19 +1,17 @@
 #pragma once
 /// \file bench_io.hpp
-/// Machine-readable output for the bench/ binaries. Every bench constructs
-/// a BenchReport from argv, registers the tables and key scalars it prints,
-/// and returns finish() from main. With `--json <path>` on the command line
-/// the run additionally emits one JSON document:
+/// Machine-readable output for the bench binaries. Every bench constructs
+/// a BenchReport from its parsed bench::Options, registers the tables and
+/// key scalars it prints, and returns finish() from main. With
+/// `--json <path>` the run additionally emits one JSON document:
 ///
 ///   {"bench":"table2","scalars":{...},"notes":{...},
 ///    "tables":{"name":{"header":[...],"rows":[[...],...]}},
 ///    "metrics":{"counters":{...},...}}
 ///
-/// so the CI smoke job and future perf-trajectory tooling consume the same
-/// numbers the human-readable tables show. Flag parsing is delegated to the
-/// shared bench::Options vocabulary (`--json/--trace/--profile/--threads/
-/// --seed/--help`), so every bench binary answers `--help` with the same
-/// usage block.
+/// so the CI smoke job and perf-trajectory tooling (prtr-report) consume
+/// the same numbers the human-readable tables show. The report reads only
+/// `--json` and `--threads`; the caller owns every other flag.
 
 #include <cstdint>
 #include <string>
@@ -28,50 +26,10 @@ namespace prtr::obs {
 
 class BenchReport {
  public:
-  /// Parses the shared bench::Options flags from argv; other arguments are
-  /// ignored (benches are otherwise argument-free). Throws
-  /// util::DomainError when a flag is missing its value or malformed.
-  /// `--help` prints the uniform usage block and exits the process with
-  /// status 0, so plain benches support it without touching their mains.
-  BenchReport(std::string name, int argc, const char* const* argv);
-
-  [[nodiscard]] bool jsonRequested() const noexcept {
-    return options_.jsonRequested();
-  }
-  [[nodiscard]] bool traceRequested() const noexcept {
-    return options_.traceRequested();
-  }
-  [[nodiscard]] bool profileRequested() const noexcept {
-    return options_.profileRequested();
-  }
-  [[nodiscard]] const std::string& jsonPath() const noexcept {
-    return options_.jsonPath();
-  }
-  [[nodiscard]] const std::string& tracePath() const noexcept {
-    return options_.tracePath();
-  }
-  [[nodiscard]] const std::string& profilePath() const noexcept {
-    return options_.profilePath();
-  }
-
-  /// Worker-thread count for the bench's parallel sweeps: the `--threads`
-  /// value, defaulting to the hardware concurrency. Always >= 1; recorded
-  /// as the "threads" scalar in the JSON document.
-  [[nodiscard]] std::size_t threads() const noexcept {
-    return options_.threads();
-  }
-
-  /// The bench's RNG seed: the `--seed` value when given, else `fallback`.
-  /// Benches with a published reference seed pass it here so default runs
-  /// stay byte-reproducible.
-  [[nodiscard]] std::uint64_t seedOr(std::uint64_t fallback) const noexcept {
-    return options_.seedOr(fallback);
-  }
-
-  /// The full parsed vocabulary, for benches that also need rest().
-  [[nodiscard]] const bench::Options& options() const noexcept {
-    return options_;
-  }
+  /// `name` is the document's "bench" field; `options` supplies the JSON
+  /// path (none: finish() writes nothing) and the "threads" scalar.
+  BenchReport(std::string name, const bench::Options& options)
+      : name_(std::move(name)), options_(options) {}
 
   /// Registers a key scalar (measured speedup, model error, ...).
   void scalar(const std::string& name, double value);

@@ -2,6 +2,7 @@
 // the prtrsim CLI parse their common flags through.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "bench/options.hpp"
@@ -36,7 +37,6 @@ TEST(BenchOptions, ParsesTheSharedVocabulary) {
   EXPECT_EQ(options.profilePath(), "p.json");
   EXPECT_EQ(options.threads(), 3u);
   EXPECT_TRUE(options.seedSet());
-  EXPECT_EQ(options.seed(), 123u);
   EXPECT_EQ(options.seedOr(77), 123u);
   EXPECT_TRUE(options.rest().empty());
 }
@@ -55,6 +55,36 @@ TEST(BenchOptions, RejectsMissingOrMalformedValues) {
   EXPECT_THROW(parse({"--threads", "0"}), util::DomainError);
   EXPECT_THROW(parse({"--threads", "two"}), util::DomainError);
   EXPECT_THROW(parse({"--seed", "1x"}), util::DomainError);
+  EXPECT_THROW(parse({"--json", ""}), util::DomainError);
+  // Checked in-process only: a binary handed these would otherwise ask the
+  // OS for billions of threads.
+  for (const char* bad : {"-1", "+1", "", "abc", "1e999",
+                          "18446744073709551616"}) {
+    EXPECT_THROW(parse({"--threads", bad}), util::DomainError) << bad;
+    EXPECT_THROW(parse({"--seed", bad}), util::DomainError) << bad;
+  }
+  const std::string aboveCeiling = std::to_string(kMaxThreads + 1);
+  EXPECT_THROW(parse({"--threads", aboveCeiling.c_str()}), util::DomainError);
+  const std::string ceiling = std::to_string(kMaxThreads);
+  EXPECT_EQ(parse({"--threads", ceiling.c_str()}).threads(), kMaxThreads);
+}
+
+TEST(BenchOptions, ParseUnsignedTakesDigitsUpToTheLargestValue) {
+  EXPECT_EQ(parseUnsigned("demo", "--n", "0"), 0u);
+  EXPECT_EQ(parseUnsigned("demo", "--n", "18446744073709551615"),
+            18446744073709551615u);
+  EXPECT_THROW((void)parseUnsigned("demo", "--n", " 1"), util::DomainError);
+  EXPECT_THROW((void)parseUnsigned("demo", "--n", "0x10"), util::DomainError);
+}
+
+TEST(BenchOptions, RejectsLeftoversAndUnhonouredFlags) {
+  EXPECT_NO_THROW(parse({"--json", "o.json"}).requireNoRest());
+  EXPECT_THROW(parse({"--jsn", "o.json"}).requireNoRest(), util::DomainError);
+  const Options options = parse({"--trace", "t.json", "--seed", "3"});
+  EXPECT_NO_THROW(options.reject({"--json", "--profile"}, "demo"));
+  EXPECT_THROW(options.reject({"--json", "--trace"}, "demo"),
+               util::DomainError);
+  EXPECT_THROW(options.reject({"--seed"}, "demo"), util::DomainError);
 }
 
 TEST(BenchOptions, UsageListsEveryFlagAndTheExtraBlock) {
